@@ -81,12 +81,20 @@ def _resolve_dimension(args: argparse.Namespace) -> HyperDimension:
     return HyperDimension(int(given_d))
 
 
+def _positive_option(args: argparse.Namespace, dest: str) -> float:
+    value = getattr(args, dest, 1.0)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not number > 0:  # also rejects NaN and a null from --config
+        raise DomainError(f"--{dest.replace('_', '-')} must be a positive number, got {value!r}")
+    return number
+
+
 def _params_from(args: argparse.Namespace) -> PhysicalParams:
-    kappa = float(getattr(args, "kappa", 1.0) or 1.0)
-    beta_kappa = float(getattr(args, "beta_kappa", 1.0) or 1.0)
-    if kappa <= 0 or beta_kappa <= 0:
-        raise DomainError("kappa and beta-kappa must be positive")
-    return PhysicalParams(kappa=kappa, beta=beta_kappa / kappa)
+    kappa = _positive_option(args, "kappa")
+    return PhysicalParams(kappa=kappa, beta=_positive_option(args, "beta_kappa") / kappa)
 
 
 def _state_from(args: argparse.Namespace) -> RadialState:
@@ -96,10 +104,17 @@ def _state_from(args: argparse.Namespace) -> RadialState:
     return RadialState(family=family, dim=_resolve_dimension(args), params=_params_from(args))
 
 
+def _unwritable(path: str | Path, exc: OSError) -> DomainError:
+    return DomainError(f"cannot write {str(path)!r}: {exc.strerror or exc}")
+
+
 def _open_output(path: Optional[str]):
     if path is None or path == "-":
         return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+    try:
+        return open(path, "w", encoding="utf-8"), True
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
 
 
 def _apply_config(args: argparse.Namespace, parser_actions: Sequence[argparse.Action], argv: Sequence[str]) -> None:
@@ -260,9 +275,12 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
         if should_close:
             stream.close()
     if args.output and args.output != "-":
-        Path(args.output).with_suffix(".config.json").write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        sidecar_path = Path(args.output).with_suffix(".config.json")
+        try:
+            sidecar_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n",
+                                    encoding="utf-8")
+        except OSError as exc:
+            raise _unwritable(sidecar_path, exc) from exc
 
     try:
         measured = result.measured_slope(fit_window(state))

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, TextIO
 
 import numpy as np
@@ -46,7 +47,6 @@ from .core import (
     Tolerance,
 )
 from .energy import t_r_closed, t_v_closed, v_q
-from .quadrature import integrate_radial
 from .specialfn import bessel_k_ratio, gamma_ratio
 from .states import ArrayLike, RadialState, StateFamily, _as_positive_radius, _scalar_like
 
@@ -82,13 +82,7 @@ def raman_nath_slope(state: RadialState, tol: Tolerance = DEFAULT_TOLERANCE) -> 
     if state.dim.strength() == 0:
         return 0.0
     _check_inverse_cube_moment(state)
-    r_lo, r_hi = state.support()
-
-    def integrand(r: np.ndarray) -> np.ndarray:
-        usq = np.exp(2.0 * np.asarray(state.log_u(r)))
-        return np.asarray(centrifugal_force(state.dim, state.params, r)) * usq
-
-    raw = integrate_radial(integrand, r_lo, r_hi, tol).value
+    raw = state.expectation(partial(centrifugal_force, state.dim, state.params), tol).value
     return raw / (state.params.hbar * state.params.kappa)
 
 

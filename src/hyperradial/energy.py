@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .core import (
     PhysicalParams,
     Tolerance,
 )
-from .quadrature import integrate_radial
 from .specialfn import bessel_k_ratio
 from .states import ArrayLike, RadialState, StateFamily, _as_positive_radius, _scalar_like
 
@@ -93,13 +93,11 @@ def t_r_quadrature(state: RadialState, tol: Tolerance = DEFAULT_TOLERANCE) -> fl
     """T_r by adaptive quadrature of -u u'' (analytic u''), in units of epsilon."""
     _check_inverse_square_moment(state)
     prefactor = state.params.hbar**2 / (2.0 * state.params.mass)
-    r_lo, r_hi = state.support()
 
-    def integrand(r: np.ndarray) -> np.ndarray:
-        usq = np.exp(2.0 * np.asarray(state.log_u(r)))
-        return -prefactor * usq * np.asarray(state.u_second_over_u(r))
+    def weight(r: np.ndarray) -> np.ndarray:
+        return -prefactor * np.asarray(state.u_second_over_u(r))
 
-    return integrate_radial(integrand, r_lo, r_hi, tol).value / state.params.epsilon()
+    return state.expectation(weight, tol).value / state.params.epsilon()
 
 
 def t_v_quadrature(state: RadialState, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
@@ -110,13 +108,8 @@ def t_v_quadrature(state: RadialState, tol: Tolerance = DEFAULT_TOLERANCE) -> fl
     if state.dim.strength() == 0:
         return 0.0
     _check_inverse_square_moment(state)
-    r_lo, r_hi = state.support()
-
-    def integrand(r: np.ndarray) -> np.ndarray:
-        usq = np.exp(2.0 * np.asarray(state.log_u(r)))
-        return np.asarray(v_q(state.dim, state.params, r)) * usq
-
-    return integrate_radial(integrand, r_lo, r_hi, tol).value / state.params.epsilon()
+    t_v = state.expectation(partial(v_q, state.dim, state.params), tol).value
+    return t_v / state.params.epsilon()
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
-from scipy.special import kve
+from scipy.special import kve, lambertw
 
 from .core import (
     DEFAULT_TOLERANCE,
@@ -220,54 +220,37 @@ class RadialState:
 
         With the default drop the |u|^2 mass left outside is below 1e-14,
         which justifies truncating every (0, inf) integral to this window.
+        The edges solve ln u(r) = ln u(peak) - drop in closed form: for u2
+        kappa r^2 - 2 (sqrt(beta kappa) + drop) r + beta = 0, and for u0/u1
+        r^2 = (a/kappa^2) (-W_k(-exp(-1 - 2 drop/a))), W_0 inner, W_-1 outer.
         """
         drop = drop_decades * math.log(10.0)
         kappa = self.params.kappa
-        rpk = self.peak_radius()
-        if rpk == 0.0:  # u0 at D=1: flat at the origin, Gaussian tail outward
-            r_hi = self._bisect_drop(1.0 / kappa, drop, upward=True)
-            return 1e-30 / kappa, r_hi
-        return (
-            self._bisect_drop(rpk, drop, upward=False),
-            self._bisect_drop(rpk, drop, upward=True),
-        )
+        if self.family is StateFamily.U2:
+            beta, root_bk = self.params.beta, math.sqrt(self.params.beta_kappa)
+            r_hi = (root_bk + drop + math.sqrt(drop * (drop + 2.0 * root_bk))) / kappa
+            return beta / (kappa * r_hi), r_hi  # product of the roots, free of cancellation
+        a = self._power()
+        if a == 0.0:  # u0 at D=1: flat at the origin, drop measured from r = 1/kappa
+            return 1e-30 / kappa, math.sqrt(1.0 + 2.0 * drop) / kappa
+        z = -math.exp(-1.0 - 2.0 * drop / a)
+        r_lo, r_hi = (math.sqrt(-a * lambertw(z, k).real) / kappa for k in (0, -1))
+        return r_lo, r_hi
 
-    def _bisect_drop(self, r_ref: float, drop: float, upward: bool) -> float:
-        log_peak = float(self.log_u(r_ref)) if r_ref > 0 else float(self.log_u(1e-30))
-        target = log_peak - drop
+    def expectation(self, weight: Callable[[np.ndarray], ArrayLike] | None = None,
+                    tol: Tolerance = DEFAULT_TOLERANCE) -> QuadResult:
+        """Quadrature of int weight(r) |u|^2 dr over the support window (weight 1 if None)."""
+        r_lo, r_hi = self.support()
 
-        def deficit(r: float) -> float:
-            return float(self.log_u(r)) - target
+        def integrand(r: np.ndarray) -> np.ndarray:
+            density = np.exp(2.0 * np.asarray(self.log_u(r)))
+            return density if weight is None else np.asarray(weight(r)) * density
 
-        # expand a bracket away from the reference point until the drop is crossed
-        lo = hi = r_ref if r_ref > 0 else 1e-30
-        step = max(1.0 / self.params.kappa, 0.1 * lo)
-        if upward:
-            hi = lo + step
-            while deficit(hi) > 0:
-                lo, hi = hi, hi + 2.0 * (hi - lo) + step
-        else:
-            lo = hi / 2.0
-            while deficit(lo) > 0:
-                lo, hi = lo / 4.0, lo
-        for _ in range(200):  # plain bisection: monotone on each side of the peak
-            mid = 0.5 * (lo + hi)
-            if (deficit(mid) > 0) == upward:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12 * hi:
-                break
-        return 0.5 * (lo + hi)
+        return integrate_radial(integrand, r_lo, r_hi, tol)
 
     def normalization_integral(self, tol: Tolerance = DEFAULT_TOLERANCE) -> QuadResult:
         """Quadrature of int |u|^2 dr over the support window; must be 1."""
-        r_lo, r_hi = self.support()
-
-        def density(r: np.ndarray) -> np.ndarray:
-            return np.exp(2.0 * np.asarray(self.log_u(r)))
-
-        return integrate_radial(density, r_lo, r_hi, tol)
+        return self.expectation(None, tol)
 
     # -- serialization ---------------------------------------------------
 
@@ -299,7 +282,7 @@ class RadialState:
         if kappa <= 0 or beta_kappa <= 0:
             raise DomainError("kappa and beta_kappa must be positive")
         params = PhysicalParams(kappa=kappa, beta=beta_kappa / kappa)
-        return cls(family=family, dim=HyperDimension(int(config["D"])), params=params)
+        return cls(family=family, dim=HyperDimension(config["D"]), params=params)
 
 
 def make_state(family: StateFamily | str, d: int, params: PhysicalParams | None = None) -> RadialState:

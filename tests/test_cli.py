@@ -44,6 +44,30 @@ class TestEnergiesCommand:
         assert main(["energies", "--family", "u0", "--D", "6", "--output", str(out)]) == 0
         assert out.read_text().startswith("quantity,closed_form,quadrature")
 
+    def test_unwritable_output(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "energies.csv"
+        assert main(["energies", "--family", "u0", "--D", "6", "--output", str(out)]) == 2
+        assert "error: cannot write" in capsys.readouterr().err
+
+
+class TestInvalidScales:
+    @pytest.mark.parametrize("flag", ["--kappa", "--beta-kappa"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_flag(self, flag, value, capsys):
+        assert main(["energies", "--family", "u2", "--D", "6", flag, value]) == 2
+        assert "must be a positive number" in capsys.readouterr().err
+
+    def test_zero_kappa_in_scaling(self, capsys):
+        assert main(["scaling", "--quantity", "fermion", "--N", "1:20", "--kappa", "0"]) == 2
+        assert "must be a positive number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["kappa", "beta_kappa"])
+    def test_null_in_config(self, key, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"family": "u2", "D": 6, key: None}))
+        assert main(["energies", "--config", str(config)]) == 2
+        assert "must be a positive number" in capsys.readouterr().err
+
 
 class TestScalingCommand:
     def test_u2_energy_exponent(self, tmp_path, capsys):
@@ -116,6 +140,15 @@ class TestPropagateCommand:
             texts.append(out.read_text())
         capsys.readouterr()
         assert texts[0] == texts[1]
+
+    def test_unwritable_sidecar(self, tmp_path, capsys):
+        (tmp_path / "run.config.json").mkdir()
+        code = main(
+            ["propagate", "--family", "u0", "--D", "6", "--n-points", "1024",
+             "--n-steps", "32", "--output", str(tmp_path / "run.csv")]
+        )
+        assert code == 2
+        assert "error: cannot write" in capsys.readouterr().err
 
     def test_json_format(self, capsys):
         code = main(

@@ -1,9 +1,26 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hyperradial import DomainError, QuadratureError, Tolerance, integrate, integrate_radial
+import hyperradial
+from hyperradial import (
+    DomainError,
+    PhysicalParams,
+    QuadratureError,
+    Tolerance,
+    bessel_k_integral,
+    bessel_k_ratio,
+    integrate,
+    integrate_radial,
+    make_state,
+    t_r_closed,
+    t_r_quadrature,
+)
 
 
 def test_gaussian():
@@ -73,3 +90,33 @@ def test_deterministic():
 def test_float_conversion():
     res = integrate(lambda x: np.ones_like(x), 0.0, 2.0)
     assert float(res) == pytest.approx(2.0, rel=1e-13)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # QUADPACK is imported only when the fallback runs, never at start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperradial.__file__).parents[1]))
+    code = ("import sys, hyperradial.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy.integrate')])")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+class TestFalseConvergenceRegressions:
+    """Oracle states where a looser stopping rule accepted results off by 4e-8 to 7e-7."""
+
+    @pytest.mark.parametrize("d, beta_kappa", [(13, 0.3481), (5, 3.743)])
+    def test_u2_normalization(self, d, beta_kappa):
+        state = make_state("u2", d, PhysicalParams(beta=beta_kappa))
+        assert state.normalization_integral().value == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("beta_kappa", [1.276, 2.249])
+    def test_bessel_ratio_from_defining_integral(self, beta_kappa):
+        zeta = 2.0 * math.sqrt(beta_kappa)
+        ratio = bessel_k_integral(2, zeta) / bessel_k_integral(1, zeta)
+        assert ratio == pytest.approx(bessel_k_ratio(zeta), rel=1e-9)
+
+    def test_u0_high_dimension_t_r(self):
+        state = make_state("u0", 692)
+        closed = t_r_closed(state.family, state.dim, state.params)
+        assert t_r_quadrature(state) == pytest.approx(closed, rel=1e-8)

@@ -244,6 +244,25 @@ class TestEigenPotential:
         assert a != b
 
 
+class TestSupportWindow:
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("d", [1, 4, 6000])
+    @pytest.mark.parametrize("drop", [17.0, 12.0])
+    def test_edges_sit_drop_below_peak(self, family, d, drop):
+        params = PhysicalParams(kappa=1.3, beta=0.7)
+        state = RadialState(family=family, dim=HyperDimension(d), params=params)
+        r_lo, r_hi = state.support(drop)
+        peak = state.peak_radius()
+        # u0 at D=1 peaks at the origin: the drop is measured from r = 1/kappa
+        # and the inner edge is clamped
+        reference = peak if peak > 0 else 1.0 / params.kappa
+        edges = (r_lo, r_hi) if peak > 0 else (r_hi,)
+        for r in edges:
+            fall = float(state.log_u(reference)) - float(state.log_u(r))
+            assert fall == pytest.approx(drop * math.log(10.0), rel=1e-10)
+        assert r_lo < reference < r_hi
+
+
 class TestSerialization:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_round_trip(self, family):
@@ -271,6 +290,11 @@ class TestSerialization:
     def test_missing_key_rejected(self):
         with pytest.raises(DomainError, match="missing"):
             RadialState.from_config({"family": "u0", "D": 6})
+
+    @pytest.mark.parametrize("d", [6.7, True])
+    def test_non_integer_dimension_rejected(self, d):
+        with pytest.raises(DomainError, match="integer"):
+            RadialState.from_config({"family": "u0", "D": d, "kappa": 1.0, "beta_kappa": 1.0})
 
     def test_bad_family_rejected(self):
         with pytest.raises(DomainError, match="family"):
