@@ -76,9 +76,11 @@ def _resolve_dimension(args: argparse.Namespace) -> HyperDimension:
     given_n = getattr(args, "N", None)
     if (given_d is None) == (given_n is None):
         raise DomainError("exactly one of --D or --N must be given")
-    if given_n is not None:
-        return HyperDimension(3 * int(given_n))
-    return HyperDimension(int(given_d))
+    if given_n is None:
+        return HyperDimension(given_d)  # rejects non-integer and bool D
+    if isinstance(given_n, bool) or not isinstance(given_n, int):
+        raise DomainError(f"N must be an integer >= 1, got {given_n!r}")
+    return HyperDimension(3 * given_n)
 
 
 def _positive_option(args: argparse.Namespace, dest: str) -> float:

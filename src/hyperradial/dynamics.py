@@ -14,11 +14,18 @@ Crank-Nicolson propagator as the independent numerical check.
 
 Propagator notes
 ----------------
-The Cayley form (1 + i dt H / 2 hbar) u_new = (1 - i dt H / 2 hbar) u with
-a 3-point Laplacian is unconditionally stable and exactly unitary in the
-discrete l2 norm, so norm drift measures only solver round-off.  Dirichlet
-walls sit one grid spacing below r_min (i.e. at r = 0) and one above
-r_max.  Accuracy, not stability, sets the time step: dt is capped by the
+The Cayley form A u_new = B u, A = 1 + i dt H / 2 hbar, B = 1 - i dt H / 2 hbar,
+with a 3-point Laplacian is unconditionally stable and exactly unitary in
+the discrete l2 norm, so norm drift measures only solver round-off (about
+2e-13 per 1e4 steps).  Since B = 2 - A, each step solves the constant
+tridiagonal system (A/2) y = u, LU-factored once, and sets u_new = y - u
+(Goldberg, Schey & Schwartz, Am. J. Phys. 35, 177 (1967)).  The observables
+are one vdot each: the norm is h * <u, u>, and with zero walls the
+central-difference <p_r> is hbar Im sum conj(u_j) u_(j+1), which is exactly
+zero for a real profile.
+
+Dirichlet walls sit one grid spacing below r_min (i.e. at r = 0) and one
+above r_max.  Accuracy, not stability, sets the time step: dt is capped by the
 kinetic phase per step across one cell and by the centrifugal phase per
 step at the inner edge of the state's support (at the literal r_min the
 potential is enormous but the wave function is void there, and a cap at
@@ -338,40 +345,38 @@ def propagate_free(
     h_off = -kinetic
 
     alpha = 1j * dt / (2.0 * hbar)
-    # LU-factor the constant left-hand tridiagonal once (LAPACK gttrf/gttrs)
-    dl = np.full(n - 1, alpha * h_off, dtype=np.complex128)
-    dd = 1.0 + alpha * h_diag.astype(np.complex128)
+    # B = 1 - alpha H = 2 - A, so A^-1 B u = y - u with (A/2) y = u: LU-factor
+    # the constant tridiagonal A/2 once (LAPACK gttrf) and each step is one
+    # gttrs solve in place plus a subtraction
+    dl = np.full(n - 1, 0.5 * alpha * h_off, dtype=np.complex128)
+    dd = 0.5 + 0.5 * alpha * h_diag.astype(np.complex128)
     du = dl.copy()
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (dd,))
     dl_f, d_f, du_f, du2_f, ipiv, info = gttrf(dl, dd, du)
     if info != 0:
         raise PropagationError(f"tridiagonal factorization failed (LAPACK info={info})")
 
-    b_diag = 1.0 - alpha * h_diag
-    b_off = -alpha * h_off
-
     def p_r_mean(vec: np.ndarray) -> float:
-        # central-difference d/dr with the imaginary part taken explicitly,
-        # so a real profile gives exactly zero
-        acc = np.sum(np.conj(vec[1:-1]) * (vec[2:] - vec[:-2]))
-        acc += np.conj(vec[0]) * vec[1] - np.conj(vec[-1]) * vec[-2]  # walls are zero
-        return hbar * float(acc.imag) * 0.5 / (hbar * kappa)
+        # central-difference d/dr between zero walls: sum conj(u_j)(u_{j+1} - u_{j-1})
+        # is S - conj(S) with S = sum conj(u_j) u_{j+1}, so a real profile gives exactly zero
+        return np.vdot(vec[:-1], vec[1:]).imag / kappa
 
     def norm_of(vec: np.ndarray) -> float:
-        return float(np.sum(np.abs(vec) ** 2)) * h
+        return np.vdot(vec, vec).real * h
 
     times = [0.0]
     momenta = [p_r_mean(u)]
     norms = [norm_of(u)]
     peak_density = float(np.abs(u).max()) ** 2
 
+    y = np.empty_like(u)
     for step in range(1, n_steps + 1):
-        rhs = b_diag * u
-        rhs[:-1] += b_off * u[1:]
-        rhs[1:] += b_off * u[:-1]
-        u, info = gttrs(dl_f, d_f, du_f, du2_f, ipiv, rhs)
+        np.copyto(y, u)
+        y, info = gttrs(dl_f, d_f, du_f, du2_f, ipiv, y, overwrite_b=1)
         if info != 0:
             raise PropagationError(f"tridiagonal solve failed at step {step} (info={info})")
+        np.subtract(y, u, out=y)
+        u, y = y, u
         if progress is not None and step % progress_every == 0:
             if progress(step, n_steps) is False:
                 raise PropagationAborted(f"aborted by progress hook at step {step}/{n_steps}")

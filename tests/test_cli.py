@@ -234,5 +234,12 @@ class TestConfigFile:
         assert main(["energies", "--config", str(config)]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [{"D": 6.7}, {"N": True}, {"D": "7"}, {"N": 2.5}])
+    def test_non_integer_dimension_in_config(self, entry, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"family": "u0", **entry}))
+        assert main(["energies", "--config", str(config)]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
     def test_unreadable_config(self, tmp_path):
         assert main(["energies", "--config", str(tmp_path / "nope.json")]) == 2

@@ -391,6 +391,67 @@ class TestPropagation:
         assert np.array_equal(a.norm, b.norm)
 
 
+def reference_cayley_run(state, grid, dt, n_steps):
+    """Independent Crank-Nicolson run: explicit B u, a banded solve of A, explicit sums.
+
+    Returns the <p_r> (units of hbar kappa) and norm series at every step.
+    """
+    from scipy.linalg import solve_banded
+
+    from hyperradial import v_q
+
+    params = state.params
+    r, h, n = grid.points(), grid.spacing, grid.n_points
+    u = np.asarray(state.u(r), dtype=complex)
+    u /= math.sqrt(np.sum(np.abs(u) ** 2) * h)
+    kinetic = params.hbar**2 / (2.0 * params.mass * h**2)
+    h_diag = 2.0 * kinetic + np.asarray(v_q(state.dim, params, r))
+    alpha = 1j * dt / (2.0 * params.hbar)
+    a_banded = np.zeros((3, n), dtype=complex)
+    a_banded[0, 1:] = -alpha * kinetic
+    a_banded[1] = 1.0 + alpha * h_diag
+    a_banded[2, :-1] = -alpha * kinetic
+
+    def observables(vec):
+        walled = np.concatenate([[0.0], vec, [0.0]])
+        acc = np.sum(np.conj(vec) * (walled[2:] - walled[:-2]))
+        return 0.5 * acc.imag / params.kappa, float(np.sum(np.abs(vec) ** 2)) * h
+
+    series = [observables(u)]
+    for _ in range(n_steps):
+        rhs = (1.0 - alpha * h_diag) * u
+        rhs[:-1] += alpha * kinetic * u[1:]
+        rhs[1:] += alpha * kinetic * u[:-1]
+        u = solve_banded((1, 1), a_banded, rhs)
+        series.append(observables(u))
+    momenta, norms = map(np.asarray, zip(*series))
+    return momenta, norms
+
+
+class TestStepOracle:
+    @pytest.mark.parametrize("family, d", [(U0, 6), (U2, 30)])
+    def test_matches_reference_stepper(self, family, d, params):
+        state = make_state(family, d, params)
+        grid = RadialGrid.for_state(state, 1024)
+        dt = default_time_step(state, grid)
+        result = propagate_free(state, grid, dt, 50)
+        momenta, norms = reference_cayley_run(state, grid, dt, 50)
+        assert np.max(np.abs(momenta)) > 0.0
+        assert np.max(np.abs(result.p_r_mean - momenta)) <= 1e-12 * np.max(np.abs(momenta))
+        assert np.max(np.abs(result.norm - norms)) <= 1e-13
+
+    def test_momentum_observable_identity(self):
+        # with zero walls, sum conj(u_j)(u_{j+1} - u_{j-1}) = S - conj(S),
+        # S = sum conj(u_j) u_{j+1}, so its imaginary part is 2 Im S
+        rng = np.random.default_rng(11)
+        u = rng.normal(size=257) + 1j * rng.normal(size=257)
+        walled = np.concatenate([[0.0], u, [0.0]])
+        explicit = np.sum(np.conj(u) * (walled[2:] - walled[:-2]))
+        assert np.vdot(u[:-1], u[1:]).imag == pytest.approx(0.5 * explicit.imag, rel=1e-12)
+        real = rng.normal(size=257).astype(complex)
+        assert np.vdot(real[:-1], real[1:]).imag == 0.0
+
+
 class TestScalingLawOverDimensions:
     # Three-point power-law fits of the slope over D in {30, 60, 120}.
     # The closed forms give alpha = 0.5045 for u0 and alpha = 2.0762 for u2
