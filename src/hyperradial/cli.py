@@ -20,10 +20,10 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor  # unused; bench/tracer.py counts pool starts through this name
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -194,29 +194,19 @@ def _cmd_energies(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- scaling
 
 
-def _run_jobs(fn: Callable, items: Iterable, jobs: int) -> list:
-    items = list(items)
-    if jobs <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _cmd_scaling(args: argparse.Namespace) -> int:
     n_values = _parse_n_range(args.N)
     params = _params_from(args)
-    jobs = int(args.jobs)
     if args.quantity == "fermion":
-        table = fermion_scaling_table(n_values, params, jobs=jobs)
+        table = fermion_scaling_table(n_values, params)
     else:
         if not args.family:
             raise DomainError("--family is required for energy/slope scaling")
         family = StateFamily(args.family)
         if args.quantity == "energy":
-            table = energy_scaling_table(family, n_values, params,
-                                         component=args.component, jobs=jobs)
+            table = energy_scaling_table(family, n_values, params, component=args.component)
         else:
-            table = slope_scaling_table(family, n_values, params, jobs=jobs)
+            table = slope_scaling_table(family, n_values, params)
     stream, should_close = _open_output(args.output)
     try:
         if args.format == "json":
@@ -284,10 +274,13 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise _unwritable(sidecar_path, exc) from exc
 
+    window = fit_window(state)
     try:
-        measured = result.measured_slope(fit_window(state))
+        measured = result.measured_slope(window)
     except PreconditionError:
         measured = result.measured_slope()  # short custom run: fit everything recorded
+        print(f"note: fewer than 4 samples inside the fit window t <= {_fmt(window)}; "
+              f"fitted all {len(result.times)} recorded samples instead", file=sys.stderr)
     analytic = result.analytic_slope
     line = f"measured_slope={_fmt(measured)} analytic_slope={_fmt(analytic)}"
     if analytic and math.isfinite(analytic):
@@ -306,41 +299,32 @@ class CheckResult:
     detail: str
 
 
+def _worst(deviations: Sequence[float]) -> float:
+    """Largest deviation; NaN if any is NaN, so a NaN never passes a check."""
+    return float(np.max(deviations))
+
+
 def _check_normalization(perturb: float) -> CheckResult:
-    worst = 0.0
-    cases: list[tuple[StateFamily, int, float]] = []
-    for d in (4, 6, 9, 30, 60):
-        cases.append((StateFamily.U0, d, 1.0))
-        cases.append((StateFamily.U1, d, 1.0))
-    for bk in (0.25, 1.0, 4.0):
-        cases.append((StateFamily.U2, 6, bk))
-    for family, d, bk in cases:
-        state = RadialState(
-            family=family, dim=HyperDimension(d), params=PhysicalParams(beta=bk)
-        )
-        value = state.normalization_integral().value * (1.0 + perturb) ** 2
-        worst = max(worst, abs(value - 1.0))
+    states = [make_state(family, d) for d in (4, 6, 9, 30, 60)
+              for family in (StateFamily.U0, StateFamily.U1)]
+    states += [make_state(StateFamily.U2, 6, PhysicalParams(beta=bk)) for bk in (0.25, 1.0, 4.0)]
+    worst = _worst([abs(state.normalization_integral().value * (1.0 + perturb) ** 2 - 1.0)
+                    for state in states])
     return CheckResult("normalization", worst <= 1e-9, f"max |norm - 1| = {worst:.3e}")
 
 
 def _check_energies() -> CheckResult:
-    worst = 0.0
     dims = (4, 5, 6, 9, 12, 30, 60, 150)
-    for family in (StateFamily.U0, StateFamily.U1):
-        for d in dims:
-            state = make_state(family, d)
-            closed = energy_report(state, CLOSED_FORM)
-            quad = energy_report(state, QUADRATURE)
-            for c, q in ((closed.t_r, quad.t_r), (closed.t_v, quad.t_v)):
-                worst = max(worst, abs(c - q) / max(abs(c), 1e-300))
-    for bk in (0.25, 1.0, 4.0):
-        params = PhysicalParams(beta=bk)
-        for d in dims:
-            state = RadialState(StateFamily.U2, HyperDimension(d), params)
-            closed = energy_report(state, CLOSED_FORM)
-            quad = energy_report(state, QUADRATURE)
-            for c, q in ((closed.t_r, quad.t_r), (closed.t_v, quad.t_v)):
-                worst = max(worst, abs(c - q) / max(abs(c), 1e-300))
+    states = [make_state(family, d) for family in (StateFamily.U0, StateFamily.U1) for d in dims]
+    states += [make_state(StateFamily.U2, d, PhysicalParams(beta=bk))
+               for bk in (0.25, 1.0, 4.0) for d in dims]
+    deviations = []
+    for state in states:
+        closed = energy_report(state, CLOSED_FORM)
+        quad = energy_report(state, QUADRATURE)
+        for c, q in ((closed.t_r, quad.t_r), (closed.t_v, quad.t_v)):
+            deviations.append(abs(c - q) / max(abs(c), 1e-300))
+    worst = _worst(deviations)
     return CheckResult("energies", worst <= 1e-8, f"max closed-vs-quadrature rel dev = {worst:.3e}")
 
 
@@ -351,17 +335,13 @@ def _check_eigenstate() -> CheckResult:
 
 
 def _check_bessel() -> CheckResult:
-    worst_rec = 0.0
+    recurrence = []
     for zeta in (0.5, 1.0, 2.0, 5.0, 10.0):
         k0, k1, k2 = (bessel_k(n, zeta) for n in (0, 1, 2))
-        worst_rec = max(worst_rec, abs(k2 - k0 - 2.0 / zeta * k1) / k2)
-    worst_int = 0.0
-    for n in (0, 1, 2):
-        for zeta in (0.1, 2.0, 30.0):
-            worst_int = max(
-                worst_int, abs(bessel_k(n, zeta) / bessel_k_integral(n, zeta) - 1.0)
-            )
-    worst = max(worst_rec, worst_int)
+        recurrence.append(abs(k2 - k0 - 2.0 / zeta * k1) / k2)
+    worst_rec = _worst(recurrence)
+    worst_int = _worst([abs(bessel_k(n, zeta) / bessel_k_integral(n, zeta) - 1.0)
+                        for n in (0, 1, 2) for zeta in (0.1, 2.0, 30.0)])
     return CheckResult(
         "bessel",
         worst_rec <= 1e-9 and worst_int <= 1e-9,
@@ -372,23 +352,18 @@ def _check_bessel() -> CheckResult:
 _VERIFY_CHECKS = ("normalization", "energies", "eigenstate", "bessel")
 
 
-def _run_check(task: tuple[str, float]) -> CheckResult:
-    name, perturb = task
-    if name == "normalization":
-        return _check_normalization(perturb)
-    if name == "energies":
-        return _check_energies()
-    if name == "eigenstate":
-        return _check_eigenstate()
-    return _check_bessel()
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    names = _VERIFY_CHECKS if args.only is None else (args.only,)
     perturb = float(args.perturb_norm or 0.0)
-    results = _run_jobs(_run_check, [(name, perturb) for name in names], int(args.jobs))
+    checks = {
+        "normalization": lambda: _check_normalization(perturb),
+        "energies": _check_energies,
+        "eigenstate": _check_eigenstate,
+        "bessel": _check_bessel,
+    }
+    names = _VERIFY_CHECKS if args.only is None else (args.only,)
     all_passed = True
-    for result in results:
+    for name in names:
+        result = checks[name]()
         status = "PASS" if result.passed else "FAIL"
         all_passed &= result.passed
         print(f"{status} {result.name}: {result.detail}")
@@ -451,39 +426,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        # presence is validated after the --config overlay, not by argparse
-        p.add_argument("--family", choices=[f.value for f in StateFamily],
-                       default=None, help="radial wave-function family")
-        p.add_argument("--D", type=int, default=None, help="configuration-space dimension")
-        p.add_argument("--N", type=int, default=None, help="particle number (implies D = 3N)")
-        p.add_argument("--kappa", type=float, default=1.0, help="inverse length scale (default 1)")
-        p.add_argument("--beta-kappa", dest="beta_kappa", type=float, default=1.0,
-                       help="dimensionless u2 shape parameter (default 1)")
-        p.add_argument("--output", default=None, help="output file ('-' for stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--config", default=None, help="JSON file mirroring the flags")
+    def flag(*names: str, **kwargs) -> argparse.ArgumentParser:
+        """One flag, defined once and shared as a parent by every subcommand taking it."""
+        holder = argparse.ArgumentParser(add_help=False)
+        holder.add_argument(*names, **kwargs)
+        return holder
 
-    p_en = sub.add_parser("energies", help="closed-form and quadrature kinetic energies")
-    add_common(p_en)
+    # presence of --family, --D and --N is validated after the --config overlay, not by argparse
+    family = flag("--family", choices=[f.value for f in StateFamily], default=None,
+                  help="radial wave-function family")
+    dim = flag("--D", type=int, default=None, help="configuration-space dimension")
+    n_particles = flag("--N", type=int, default=None, help="particle number (implies D = 3N)")
+    kappa = flag("--kappa", type=float, default=1.0, help="inverse length scale (default 1)")
+    beta_kappa = flag("--beta-kappa", dest="beta_kappa", type=float, default=1.0,
+                      help="dimensionless u2 shape parameter (default 1)")
+    output = flag("--output", default=None, help="output file ('-' for stdout)")
+    fmt = flag("--format", choices=("csv", "json"), default="csv")
+    config = flag("--config", default=None, help="JSON file mirroring the flags")
+    jobs = flag("--jobs", type=int, default=1,
+                help="accepted for compatibility; has no effect (everything runs serially)")
+    state = [family, dim, n_particles, kappa, beta_kappa, output, fmt, config]
+
+    p_en = sub.add_parser("energies", parents=state,
+                          help="closed-form and quadrature kinetic energies")
     p_en.set_defaults(func=_cmd_energies, _parser=p_en)
 
-    p_sc = sub.add_parser("scaling", help="N-sweeps with fitted power-law exponent")
+    p_sc = sub.add_parser("scaling", parents=[family, kappa, beta_kappa, jobs, output, fmt, config],
+                          help="N-sweeps with fitted power-law exponent")
     p_sc.add_argument("--quantity", choices=("energy", "slope", "fermion"), required=True)
-    p_sc.add_argument("--family", choices=[f.value for f in StateFamily], default=None)
     p_sc.add_argument("--component", choices=("total", "t_r", "t_v"), default="total",
                       help="energy component for --quantity energy")
     p_sc.add_argument("--N", required=True, help="range start:stop[:step], inclusive")
-    p_sc.add_argument("--kappa", type=float, default=1.0)
-    p_sc.add_argument("--beta-kappa", dest="beta_kappa", type=float, default=1.0)
-    p_sc.add_argument("--jobs", type=int, default=1, help="worker processes for the sweep")
-    p_sc.add_argument("--output", default=None)
-    p_sc.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sc.add_argument("--config", default=None)
     p_sc.set_defaults(func=_cmd_scaling, _parser=p_sc)
 
-    p_pr = sub.add_parser("propagate", help="Crank-Nicolson free expansion")
-    add_common(p_pr)
+    p_pr = sub.add_parser("propagate", parents=state, help="Crank-Nicolson free expansion")
     p_pr.add_argument("--n-points", dest="n_points", type=int, default=4096)
     p_pr.add_argument("--r-max", dest="r_max", type=float, default=None,
                       help="outer wall radius (default: state-dependent)")
@@ -492,18 +468,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_pr.add_argument("--record-every", dest="record_every", type=int, default=1)
     p_pr.set_defaults(func=_cmd_propagate, _parser=p_pr)
 
-    p_ve = sub.add_parser("verify", help="oracle-equivalence suite")
+    p_ve = sub.add_parser("verify", parents=[jobs, config], help="oracle-equivalence suite")
     p_ve.add_argument("--only", choices=_VERIFY_CHECKS, default=None)
     p_ve.add_argument("--perturb-norm", dest="perturb_norm", type=float, default=0.0,
                       help="test-only fault injection into the normalization check")
-    p_ve.add_argument("--jobs", type=int, default=1)
-    p_ve.add_argument("--config", default=None)
     p_ve.set_defaults(func=_cmd_verify, _parser=p_ve)
 
-    p_re = sub.add_parser("recipe", help="run a named preset")
+    p_re = sub.add_parser("recipe", parents=[output], help="run a named preset")
     p_re.add_argument("name", nargs="?", default=None)
     p_re.add_argument("--list", action="store_true", help="list available recipes")
-    p_re.add_argument("--output", default=None)
     p_re.set_defaults(func=_cmd_recipe, _parser=p_re)
 
     return parser

@@ -321,8 +321,8 @@ def propagate_free(
         grid = RadialGrid.for_state(state)
     if dt is None:
         dt = default_time_step(state, grid)
-    if dt <= 0:
-        raise DomainError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:  # also rejects NaN
+        raise DomainError(f"dt must be positive and finite, got {dt}")
     if n_steps is None:
         n_steps = max(int(math.ceil(fit_window(state) / dt)), 16)
     if n_steps < 1:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor  # unused; bench/tracer.py counts pool starts through this name
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -26,14 +26,6 @@ from .energy import t_r_closed, t_v_closed
 from .states import RadialState, StateFamily
 
 MIN_FIT_ROWS = 10
-
-
-def _map_rows(fn: Callable, items: Sequence, jobs: int) -> list:
-    """Row computations are independent; farm them out when jobs > 1."""
-    if jobs <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
 
 
 def fit_power_law(n_values: Sequence[float], values: Sequence[float]) -> tuple[float, float]:
@@ -154,25 +146,6 @@ def _check_n_values(n_values: Iterable[int], minimum: int) -> list[int]:
     return [int(n) for n in ns]
 
 
-def _energy_row(task: tuple[str, int, PhysicalParams, str]) -> float:
-    family, n, params, component = task
-    dim = HyperDimension(3 * n)
-    t_r = t_r_closed(StateFamily(family), dim, params)
-    t_v = t_v_closed(StateFamily(family), dim, params)
-    return {"total": t_r + t_v, "t_r": t_r, "t_v": t_v}[component]
-
-
-def _slope_row(task: tuple[str, int, PhysicalParams]) -> float:
-    family, n, params = task
-    state = RadialState(family=StateFamily(family), dim=HyperDimension(3 * n), params=params)
-    return raman_nath_slope_closed(state)
-
-
-def _fermion_row(task: tuple[int, PhysicalParams]) -> float:
-    n, params = task
-    return fermion_trap_energy(n, params).closed
-
-
 def energy_scaling_table(
     family: StateFamily,
     n_values: Iterable[int],
@@ -183,12 +156,17 @@ def energy_scaling_table(
     """Kinetic energy (in units of epsilon) per particle number, with exponent.
 
     `component` selects "total", "t_r" or "t_v".  Expect an exponent of
-    ~1 for u0/u1 and ~2 for u2.
+    ~1 for u0/u1 and ~2 for u2.  `jobs` is accepted and has no effect: every
+    table here is a closed form evaluated in microseconds per row, serially.
     """
     if component not in ("total", "t_r", "t_v"):
         raise DomainError(f"unknown energy component {component!r}")
     ns = _check_n_values(n_values, minimum=2)
-    values = _map_rows(_energy_row, [(family.value, n, params, component) for n in ns], jobs)
+    values = []
+    for n in ns:
+        dim = HyperDimension(3 * n)
+        t_r, t_v = t_r_closed(family, dim, params), t_v_closed(family, dim, params)
+        values.append({"total": t_r + t_v, "t_r": t_r, "t_v": t_v}[component])
     quantity = "energy" if component == "total" else component
     return _build_table(ns, values, units="epsilon", quantity=quantity, family=family)
 
@@ -201,17 +179,21 @@ def slope_scaling_table(
 ) -> ScalingTable:
     """Analytic Raman-Nath slope per particle number, with fitted exponent.
 
-    Expect ~0.5 for u0/u1 at large N and ~2 for u2.
+    Expect ~0.5 for u0/u1 at large N and ~2 for u2.  `jobs` has no effect.
     """
     ns = _check_n_values(n_values, minimum=2)
-    values = _map_rows(_slope_row, [(family.value, n, params) for n in ns], jobs)
+    values = [raman_nath_slope_closed(RadialState(family, HyperDimension(3 * n), params))
+              for n in ns]
     return _build_table(ns, values, units="hbar*kappa/time", quantity="slope", family=family)
 
 
 def fermion_scaling_table(
     n_values: Iterable[int], params: PhysicalParams, jobs: int = 1
 ) -> ScalingTable:
-    """Exact N^2 hbar Omega / 2 reference column (fit exponent is exactly 2)."""
+    """Exact N^2 hbar Omega / 2 reference column (fit exponent is exactly 2).
+
+    `jobs` has no effect.
+    """
     ns = _check_n_values(n_values, minimum=1)
-    values = _map_rows(_fermion_row, [(n, params) for n in ns], jobs)
+    values = [fermion_trap_energy(n, params).closed for n in ns]
     return _build_table(ns, values, units="hbar*omega", quantity="fermion", family=None)

@@ -1,8 +1,12 @@
+import argparse
 import json
 
 import pytest
 
-from hyperradial.cli import main
+from hyperradial import cli, scaling
+from hyperradial.cli import build_parser, main
+from hyperradial.core import PhysicalParams
+from hyperradial.states import StateFamily
 
 
 def read_csv_rows(text):
@@ -160,6 +164,25 @@ class TestPropagateCommand:
         assert len(payload["series"]["t"]) == 33
         assert payload["series"]["p_r_mean"][0] == 0.0
 
+    @pytest.mark.parametrize("dt", ["nan", "inf"])
+    def test_non_finite_dt_is_invalid_input(self, dt, capsys):
+        code = main(["propagate", "--family", "u0", "--D", "6", "--n-points", "1024", "--dt", dt])
+        assert code == 2
+        assert "error: dt must be positive and finite" in capsys.readouterr().err
+
+    def test_window_fallback_is_reported(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        code = main(
+            ["propagate", "--family", "u0", "--D", "6", "--n-points", "1024",
+             "--dt", "0.002", "--n-steps", "10", "--output", str(out)]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "note: fewer than 4 samples inside the fit window" in err
+        assert "fitted all 11 recorded samples instead" in err
+        assert "measured_slope=" in err
+        assert len(out.read_text().splitlines()) == 2 + 11
+
     def test_reflection_is_numerical_failure(self, capsys):
         code = main(
             ["propagate", "--family", "u0", "--D", "6", "--n-points", "512",
@@ -188,6 +211,94 @@ class TestVerifyCommand:
     def test_parallel_jobs(self, capsys):
         assert main(["verify", "--jobs", "2"]) == 0
         assert capsys.readouterr().out.count("PASS") == 4
+
+    def test_nan_deviation_fails(self, capsys):
+        assert main(["verify", "--only", "normalization", "--perturb-norm", "nan"]) == 1
+        assert "FAIL normalization: max |norm - 1| = nan" in capsys.readouterr().out
+
+
+class TestSerialPath:
+    def test_no_process_pool_is_started(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        for module in (scaling, cli):
+            monkeypatch.setattr(module, "ProcessPoolExecutor", refuse, raising=False)
+        params = PhysicalParams()
+        assert len(scaling.fermion_scaling_table(range(1, 41), params, jobs=2).rows) == 40
+        table = scaling.slope_scaling_table(StateFamily.U2, range(2, 41), params, jobs=2)
+        assert len(table.rows) == 39
+        assert main(["verify", "--jobs", "2"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 4
+
+
+def _subcommand_options(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {
+            (action.option_strings[0] if action.option_strings else action.dest):
+                (action.dest, action.type, action.default,
+                 tuple(action.choices) if action.choices else None, action.required)
+            for action in subparser._actions if action.dest != "help"
+        }
+        for name, subparser in sub.choices.items()
+    }
+
+
+class TestParserOptions:
+    def test_each_subcommand_keeps_its_flags(self):
+        family = ("family", None, None, ("u0", "u1", "u2"), False)
+        kappa = ("kappa", float, 1.0, None, False)
+        beta_kappa = ("beta_kappa", float, 1.0, None, False)
+        output = ("output", None, None, None, False)
+        fmt = ("format", None, "csv", ("csv", "json"), False)
+        config = ("config", None, None, None, False)
+        jobs = ("jobs", int, 1, None, False)
+        state = {
+            "--family": family,
+            "--D": ("D", int, None, None, False),
+            "--N": ("N", int, None, None, False),
+            "--kappa": kappa,
+            "--beta-kappa": beta_kappa,
+            "--output": output,
+            "--format": fmt,
+            "--config": config,
+        }
+        assert _subcommand_options(build_parser()) == {
+            "energies": state,
+            "scaling": {
+                "--quantity": ("quantity", None, None, ("energy", "slope", "fermion"), True),
+                "--family": family,
+                "--component": ("component", None, "total", ("total", "t_r", "t_v"), False),
+                "--N": ("N", None, None, None, True),
+                "--kappa": kappa,
+                "--beta-kappa": beta_kappa,
+                "--jobs": jobs,
+                "--output": output,
+                "--format": fmt,
+                "--config": config,
+            },
+            "propagate": {
+                **state,
+                "--n-points": ("n_points", int, 4096, None, False),
+                "--r-max": ("r_max", float, None, None, False),
+                "--dt": ("dt", float, None, None, False),
+                "--n-steps": ("n_steps", int, None, None, False),
+                "--record-every": ("record_every", int, 1, None, False),
+            },
+            "verify": {
+                "--only": ("only", None, None,
+                           ("normalization", "energies", "eigenstate", "bessel"), False),
+                "--perturb-norm": ("perturb_norm", float, 0.0, None, False),
+                "--jobs": jobs,
+                "--config": config,
+            },
+            "recipe": {
+                "name": ("name", None, None, None, False),
+                "--list": ("list", None, False, None, False),
+                "--output": output,
+            },
+        }
 
 
 class TestRecipeCommand:

@@ -365,6 +365,12 @@ class TestPropagation:
         result = propagate_free(state, RadialGrid.for_state(state, 1024), n_steps=32)
         assert result.analytic_slope == pytest.approx(raman_nath_slope_closed(state), rel=1e-13)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1e-3])
+    def test_non_finite_or_non_positive_dt_rejected(self, dt, params):
+        state = make_state(U0, 6, params)
+        with pytest.raises(DomainError, match="dt must be positive and finite"):
+            propagate_free(state, RadialGrid.for_state(state, 1024), dt=dt)
+
     def test_measured_slope_needs_samples(self, params):
         state = make_state(U0, 6, params)
         result = propagate_free(state, RadialGrid.for_state(state, 1024), n_steps=3)
