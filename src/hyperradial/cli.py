@@ -17,13 +17,14 @@ files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor  # unused; bench/tracer.py counts pool starts through this name
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .core import (
     PhysicalParams,
     PreconditionError,
 )
-from .dynamics import RadialGrid, default_time_step, fit_window, propagate_free
+from .dynamics import RadialGrid, fit_window, propagate_free
 from .energy import CLOSED_FORM, QUADRATURE, energy_report
 from .scaling import (
     energy_scaling_table,
@@ -72,76 +73,83 @@ def _parse_n_range(text: str) -> list[int]:
 
 
 def _resolve_dimension(args: argparse.Namespace) -> HyperDimension:
-    given_d = getattr(args, "D", None)
-    given_n = getattr(args, "N", None)
-    if (given_d is None) == (given_n is None):
+    if (args.D is None) == (args.N is None):
         raise DomainError("exactly one of --D or --N must be given")
-    if given_n is None:
-        return HyperDimension(given_d)  # rejects non-integer and bool D
-    if isinstance(given_n, bool) or not isinstance(given_n, int):
-        raise DomainError(f"N must be an integer >= 1, got {given_n!r}")
-    return HyperDimension(3 * given_n)
+    return HyperDimension(args.D if args.N is None else 3 * args.N)
 
 
-def _positive_option(args: argparse.Namespace, dest: str) -> float:
-    value = getattr(args, dest, 1.0)
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not number > 0:  # also rejects NaN and a null from --config
-        raise DomainError(f"--{dest.replace('_', '-')} must be a positive number, got {value!r}")
-    return number
+_POSITIVE_OPTIONS = ("kappa", "beta_kappa")
 
 
 def _params_from(args: argparse.Namespace) -> PhysicalParams:
-    kappa = _positive_option(args, "kappa")
-    return PhysicalParams(kappa=kappa, beta=_positive_option(args, "beta_kappa") / kappa)
+    for dest in _POSITIVE_OPTIONS:
+        if not getattr(args, dest) > 0:  # also rejects NaN
+            raise DomainError(f"--{dest.replace('_', '-')} must be a positive number, "
+                              f"got {getattr(args, dest)!r}")
+    return PhysicalParams(kappa=args.kappa, beta=args.beta_kappa / args.kappa)
 
 
 def _state_from(args: argparse.Namespace) -> RadialState:
-    if not getattr(args, "family", None):
+    if not args.family:
         raise DomainError("--family is required (directly or via --config)")
-    family = StateFamily(args.family)
-    return RadialState(family=family, dim=_resolve_dimension(args), params=_params_from(args))
+    return RadialState(family=StateFamily(args.family), dim=_resolve_dimension(args), params=_params_from(args))
 
 
 def _unwritable(path: str | Path, exc: OSError) -> DomainError:
     return DomainError(f"cannot write {str(path)!r}: {exc.strerror or exc}")
 
 
-def _open_output(path: Optional[str]):
+@contextlib.contextmanager
+def _output_stream(path: Optional[str]) -> Iterator[TextIO]:
+    """Yield stdout for no path or '-', else the opened file, closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", encoding="utf-8"), True
+        stream = open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise _unwritable(path, exc) from exc
+    with stream:
+        yield stream
+
+
+# the JSON types that stand for a flag's argparse type, and how messages name them
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), None: ((str,), "a string")}
+
+
+def _config_value(key: str, action: argparse.Action, value):
+    """Check a --config value as argparse checks the flag's text; null only where the default is None."""
+    if value is None and action.default is None:
+        return None
+    types, expected = _JSON_TYPES[action.type]
+    valid = isinstance(value, types) and not isinstance(value, bool)
+    if action.choices is not None:
+        valid, expected = value in action.choices, "one of " + ", ".join(map(repr, action.choices))
+    elif action.dest in _POSITIVE_OPTIONS:
+        expected = "a positive number"
+    if not valid:
+        raise DomainError(f"config key {key!r} must be {expected}, got {value!r}")
+    return float(value) if action.type is float else value
 
 
 def _apply_config(args: argparse.Namespace, parser_actions: Sequence[argparse.Action], argv: Sequence[str]) -> None:
-    """Overlay values from --config for flags not given explicitly."""
-    if not getattr(args, "config", None):
-        return
+    """Check every value in --config and overlay those whose flags were not given explicitly."""
     try:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DomainError(f"cannot read config {args.config!r}: {exc}") from exc
     if not isinstance(config, dict):
         raise DomainError("config file must hold a JSON object")
-    explicit: set[str] = set()
     by_option = {opt: action.dest for action in parser_actions for opt in action.option_strings}
-    for token in argv:
-        flag = token.split("=", 1)[0]
-        if flag in by_option:
-            explicit.add(by_option[flag])
-    known = {action.dest for action in parser_actions}
+    explicit = {by_option.get(token.split("=", 1)[0]) for token in argv}
+    actions = {action.dest: action for action in parser_actions}
     for key, value in config.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise DomainError(f"unknown config key {key!r}")
-        if dest not in explicit:
-            setattr(args, dest, value)
+        value = _config_value(key, action, value)
+        if action.dest not in explicit:
+            setattr(args, action.dest, value)
 
 
 # ---------------------------------------------------------------- energies
@@ -161,8 +169,7 @@ def _cmd_energies(args: argparse.Namespace) -> int:
         ("t_v", closed.t_v, quad.t_v),
         ("total", closed.total, quad.total),
     ]
-    stream, should_close = _open_output(args.output)
-    try:
+    with _output_stream(args.output) as stream:
         if args.format == "json":
             payload = {
                 "config": state.to_config(),
@@ -179,9 +186,6 @@ def _cmd_energies(args: argparse.Namespace) -> int:
             stream.write("quantity,closed_form,quadrature,rel_deviation,units\n")
             for name, c, q in rows:
                 stream.write(f"{name},{_fmt(c)},{_fmt(q)},{_fmt(rel_dev(c, q))},epsilon\n")
-    finally:
-        if should_close:
-            stream.close()
     print(
         f"family={state.family.value} D={state.dim.d} total={_fmt(closed.total)} epsilon "
         f"(epsilon={_fmt(closed.epsilon)}, closed vs quadrature max rel dev "
@@ -207,15 +211,11 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
             table = energy_scaling_table(family, n_values, params, component=args.component)
         else:
             table = slope_scaling_table(family, n_values, params)
-    stream, should_close = _open_output(args.output)
-    try:
+    with _output_stream(args.output) as stream:
         if args.format == "json":
             table.to_json(stream)
         else:
             table.to_csv(stream)
-    finally:
-        if should_close:
-            stream.close()
     print(
         f"quantity={table.quantity} family={table.family.value if table.family else '-'} "
         f"fit_exponent={_fmt(table.fit_exponent)} fit_error={_fmt(table.fit_error)}",
@@ -230,12 +230,19 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 def _cmd_propagate(args: argparse.Namespace) -> int:
     state = _state_from(args)
     if args.r_max is not None:
-        grid = RadialGrid.uniform(float(args.r_max), int(args.n_points))
+        grid = RadialGrid.uniform(args.r_max, args.n_points)
     else:
-        grid = RadialGrid.for_state(state, int(args.n_points))
-    dt = float(args.dt) if args.dt is not None else default_time_step(state, grid)
-    n_steps = int(args.n_steps) if args.n_steps is not None else None
-    result = propagate_free(state, grid, dt, n_steps, record_every=int(args.record_every))
+        grid = RadialGrid.for_state(state, args.n_points)
+    result = propagate_free(state, grid, args.dt, args.n_steps, record_every=args.record_every)
+
+    # fit before writing, so a run that cannot be fitted exits 2 and leaves no files
+    window = fit_window(state)
+    try:
+        measured = result.measured_slope(window)
+    except PreconditionError:
+        measured = result.measured_slope()  # short custom run: fit everything recorded
+        print(f"note: fewer than 4 samples inside the fit window t <= {_fmt(window)}; "
+              f"fitted all {len(result.times)} recorded samples instead", file=sys.stderr)
 
     sidecar = {
         "state": state.to_config(),
@@ -247,10 +254,9 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
         },
         "dt": result.dt,
         "n_steps": len(result.times) - 1,
-        "record_every": int(args.record_every),
+        "record_every": args.record_every,
     }
-    stream, should_close = _open_output(args.output)
-    try:
+    with _output_stream(args.output) as stream:
         if args.format == "json":
             payload = dict(sidecar)
             payload["series"] = {
@@ -263,9 +269,6 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
             stream.write("\n")
         else:
             result.to_csv(stream)
-    finally:
-        if should_close:
-            stream.close()
     if args.output and args.output != "-":
         sidecar_path = Path(args.output).with_suffix(".config.json")
         try:
@@ -273,14 +276,6 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
                                     encoding="utf-8")
         except OSError as exc:
             raise _unwritable(sidecar_path, exc) from exc
-
-    window = fit_window(state)
-    try:
-        measured = result.measured_slope(window)
-    except PreconditionError:
-        measured = result.measured_slope()  # short custom run: fit everything recorded
-        print(f"note: fewer than 4 samples inside the fit window t <= {_fmt(window)}; "
-              f"fitted all {len(result.times)} recorded samples instead", file=sys.stderr)
     analytic = result.analytic_slope
     line = f"measured_slope={_fmt(measured)} analytic_slope={_fmt(analytic)}"
     if analytic and math.isfinite(analytic):
@@ -353,9 +348,8 @@ _VERIFY_CHECKS = ("normalization", "energies", "eigenstate", "bessel")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    perturb = float(args.perturb_norm or 0.0)
     checks = {
-        "normalization": lambda: _check_normalization(perturb),
+        "normalization": lambda: _check_normalization(args.perturb_norm),
         "energies": _check_energies,
         "eigenstate": _check_eigenstate,
         "bessel": _check_bessel,

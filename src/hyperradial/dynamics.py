@@ -26,10 +26,11 @@ zero for a real profile.
 
 Dirichlet walls sit one grid spacing below r_min (i.e. at r = 0) and one
 above r_max.  Accuracy, not stability, sets the time step: dt is capped by the
-kinetic phase per step across one cell and by the centrifugal phase per
+kinetic phase per step across one cell, by the centrifugal phase per
 step at the inner edge of the state's support (at the literal r_min the
 potential is enormous but the wave function is void there, and a cap at
-r_min would make large-D runs intractable for no gain in accuracy).
+r_min would make large-D runs intractable for no gain in accuracy), and by
+fit_window / MIN_FIT_STEPS, so that the slope fit has samples at every D.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .states import ArrayLike, RadialState, StateFamily, _as_positive_radius, _s
 DEFAULT_N_POINTS = 4096
 REFLECTION_LIMIT = 1e-8
 NORM_DRIFT_LIMIT = 1e-4
+MIN_FIT_STEPS = 16  # fewest steps a default run takes, and spends inside fit_window
 
 
 def centrifugal_force(dim: HyperDimension, params: PhysicalParams, r: ArrayLike) -> ArrayLike:
@@ -174,17 +176,18 @@ class RadialGrid:
 def default_time_step(state: RadialState, grid: RadialGrid) -> float:
     """Accuracy-driven time step for the Crank-Nicolson propagator.
 
-    Caps the kinetic phase per step across one grid cell at 0.1 and the
+    Caps the kinetic phase per step across one grid cell at 0.1, the
     centrifugal phase per step at 0.1 evaluated at the inner edge of the
-    state's support (where the amplitude is 1e-12 of peak).
+    state's support (where the amplitude is 1e-12 of peak), and the step
+    at fit_window(state) / MIN_FIT_STEPS, so every D has samples to fit.
     """
     params = state.params
-    dt_kinetic = 0.1 * 2.0 * params.mass * grid.spacing**2 / params.hbar
-    if state.dim.strength() == 0:
-        return dt_kinetic
-    r_edge = max(grid.r_min, state.support(drop_decades=12.0)[0])
-    dt_potential = 0.1 * params.hbar / abs(float(v_q(state.dim, params, r_edge)))
-    return min(dt_kinetic, dt_potential)
+    caps = [0.1 * 2.0 * params.mass * grid.spacing**2 / params.hbar,
+            fit_window(state) / MIN_FIT_STEPS]
+    if state.dim.strength() != 0:
+        r_edge = max(grid.r_min, state.support(drop_decades=12.0)[0])
+        caps.append(0.1 * params.hbar / abs(float(v_q(state.dim, params, r_edge))))
+    return min(caps)
 
 
 def linearity_window(state: RadialState) -> float:
@@ -299,10 +302,11 @@ def propagate_free(
     grid : RadialGrid, optional
         Defaults to ``RadialGrid.for_state(state)``.
     dt : float, optional
-        Defaults to :func:`default_time_step`; the scheme is stable for
-        any dt, the caps are purely about accuracy.
+        Defaults to :func:`default_time_step`, at most fit_window /
+        MIN_FIT_STEPS; the scheme is stable for any dt.
     n_steps : int, optional
-        Defaults to enough steps to cover :func:`fit_window`.
+        Defaults to enough steps to cover :func:`fit_window`, at least
+        MIN_FIT_STEPS.
     record_every : int
         Sampling stride for the returned time series.
     progress : callable, optional
@@ -324,7 +328,7 @@ def propagate_free(
     if not 0 < dt < math.inf:  # also rejects NaN
         raise DomainError(f"dt must be positive and finite, got {dt}")
     if n_steps is None:
-        n_steps = max(int(math.ceil(fit_window(state) / dt)), 16)
+        n_steps = max(int(math.ceil(fit_window(state) / dt)), MIN_FIT_STEPS)
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     if record_every < 1:

@@ -183,6 +183,24 @@ class TestPropagateCommand:
         assert "measured_slope=" in err
         assert len(out.read_text().splitlines()) == 2 + 11
 
+    def test_unfittable_run_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = main(
+            ["propagate", "--family", "u0", "--D", "6", "--n-points", "1024",
+             "--n-steps", "3", "--output", str(out)]
+        )
+        assert code == 2
+        assert "need at least 4 non-zero-time samples" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "r.config.json").exists()
+
+    def test_default_step_fits_at_large_d(self, capsys):
+        assert main(["propagate", "--family", "u0", "--D", "1200"]) == 0
+        err = capsys.readouterr().err
+        assert "note:" not in err
+        ratio = float(err.split("ratio=")[1].split()[0])
+        assert ratio == pytest.approx(1.0, rel=1e-2)
+
     def test_reflection_is_numerical_failure(self, capsys):
         code = main(
             ["propagate", "--family", "u0", "--D", "6", "--n-points", "512",
@@ -351,6 +369,26 @@ class TestConfigFile:
         config.write_text(json.dumps({"family": "u0", **entry}))
         assert main(["energies", "--config", str(config)]) == 2
         assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("energies", "family", "u9"),
+        ("propagate", "dt", "abc"),
+        ("propagate", "n_points", "x"),
+        ("verify", "perturb_norm", "abc"),
+        ("verify", "only", "nope"),
+        ("propagate", "n_points", 1024.9),
+        ("energies", "format", "xml"),
+    ])
+    def test_value_is_checked_like_its_flag(self, command, key, value, tmp_path, capsys):
+        base = {
+            "energies": {"family": "u0", "D": 6},
+            "propagate": {"family": "u0", "D": 6, "n_points": 1024, "n_steps": 16},
+            "verify": {"only": "eigenstate"},
+        }[command]
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**base, key: value}))
+        assert main([command, "--config", str(config)]) == 2
+        assert f"config key {key!r} must be" in capsys.readouterr().err
 
     def test_unreadable_config(self, tmp_path):
         assert main(["energies", "--config", str(tmp_path / "nope.json")]) == 2

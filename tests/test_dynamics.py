@@ -173,6 +173,17 @@ class TestRadialGrid:
         dt = default_time_step(state, grid)
         assert dt < 0.1 * 2.0 * grid.spacing**2
 
+    @pytest.mark.parametrize("family, d", [(U0, 6), (U2, 30)])
+    def test_default_time_step_fit_cap_does_not_bind_at_small_d(self, family, d, params):
+        from hyperradial import v_q
+
+        state = make_state(family, d, params)
+        grid = RadialGrid.for_state(state, 1024)
+        r_edge = max(grid.r_min, state.support(drop_decades=12.0)[0])
+        kinetic = 0.1 * 2.0 * grid.spacing**2
+        centrifugal = 0.1 / abs(float(v_q(state.dim, params, r_edge)))
+        assert default_time_step(state, grid) == min(kinetic, centrifugal)
+
 
 class TestShortTimePhaseState:
     def test_identity_at_t0(self, params):
@@ -263,6 +274,14 @@ class TestPropagation:
         result = propagate_free(state, RadialGrid.for_state(state, 2048))
         measured = result.measured_slope(fit_window(state))
         assert measured == pytest.approx(raman_nath_slope(state), rel=1e-2)
+
+    @pytest.mark.parametrize("family, d", [(U0, 1200), (U1, 700)])
+    def test_default_step_leaves_room_for_the_fit_at_large_d(self, family, d):
+        # the fit window shrinks faster with D than the kinetic and centrifugal caps
+        state = make_state(family, d)
+        result = propagate_free(state)
+        measured = result.measured_slope(fit_window(state))
+        assert measured == pytest.approx(raman_nath_slope_closed(state), rel=1e-2)
 
     def test_d3_free_gaussian_expands_despite_zero_force(self, params):
         # F_Q vanishes at D=3, but the reduced problem keeps a wall at the
