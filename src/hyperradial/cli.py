@@ -417,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperradial",
         description="Hyperspherical s-state energies, scaling laws and free-expansion dynamics.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -441,19 +442,20 @@ def build_parser() -> argparse.ArgumentParser:
                 help="accepted for compatibility; has no effect (everything runs serially)")
     state = [family, dim, n_particles, kappa, beta_kappa, output, fmt, config]
 
-    p_en = sub.add_parser("energies", parents=state,
+    p_en = sub.add_parser("energies", parents=state, allow_abbrev=False,
                           help="closed-form and quadrature kinetic energies")
     p_en.set_defaults(func=_cmd_energies, _parser=p_en)
 
     p_sc = sub.add_parser("scaling", parents=[family, kappa, beta_kappa, jobs, output, fmt, config],
-                          help="N-sweeps with fitted power-law exponent")
+                          allow_abbrev=False, help="N-sweeps with fitted power-law exponent")
     p_sc.add_argument("--quantity", choices=("energy", "slope", "fermion"), required=True)
     p_sc.add_argument("--component", choices=("total", "t_r", "t_v"), default="total",
                       help="energy component for --quantity energy")
     p_sc.add_argument("--N", required=True, help="range start:stop[:step], inclusive")
     p_sc.set_defaults(func=_cmd_scaling, _parser=p_sc)
 
-    p_pr = sub.add_parser("propagate", parents=state, help="Crank-Nicolson free expansion")
+    p_pr = sub.add_parser("propagate", parents=state, allow_abbrev=False,
+                          help="Crank-Nicolson free expansion")
     p_pr.add_argument("--n-points", dest="n_points", type=int, default=4096)
     p_pr.add_argument("--r-max", dest="r_max", type=float, default=None,
                       help="outer wall radius (default: state-dependent)")
@@ -462,13 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_pr.add_argument("--record-every", dest="record_every", type=int, default=1)
     p_pr.set_defaults(func=_cmd_propagate, _parser=p_pr)
 
-    p_ve = sub.add_parser("verify", parents=[jobs, config], help="oracle-equivalence suite")
+    p_ve = sub.add_parser("verify", parents=[jobs, config], allow_abbrev=False,
+                          help="oracle-equivalence suite")
     p_ve.add_argument("--only", choices=_VERIFY_CHECKS, default=None)
     p_ve.add_argument("--perturb-norm", dest="perturb_norm", type=float, default=0.0,
                       help="test-only fault injection into the normalization check")
     p_ve.set_defaults(func=_cmd_verify, _parser=p_ve)
 
-    p_re = sub.add_parser("recipe", parents=[output], help="run a named preset")
+    p_re = sub.add_parser("recipe", parents=[output], allow_abbrev=False,
+                          help="run a named preset")
     p_re.add_argument("name", nargs="?", default=None)
     p_re.add_argument("--list", action="store_true", help="list available recipes")
     p_re.set_defaults(func=_cmd_recipe, _parser=p_re)

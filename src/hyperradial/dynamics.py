@@ -41,7 +41,6 @@ from functools import partial
 from typing import Callable, Optional, TextIO
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .core import (
     DEFAULT_TOLERANCE,
@@ -347,6 +346,8 @@ def propagate_free(
     potential = np.asarray(v_q(state.dim, params, r), dtype=float)
     h_diag = 2.0 * kinetic + potential
     h_off = -kinetic
+
+    from scipy.linalg import get_lapack_funcs  # deferred: only a propagation needs LAPACK
 
     alpha = 1j * dt / (2.0 * hbar)
     # B = 1 - alpha H = 2 - A, so A^-1 B u = y - u with (A/2) y = u: LU-factor

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import kve, lambertw
 
 from .core import (
     DEFAULT_TOLERANCE,
@@ -37,7 +36,7 @@ from .core import (
     Tolerance,
 )
 from .quadrature import QuadResult, integrate_radial
-from .specialfn import log_gamma
+from .specialfn import _scaled_bessel_k, log_gamma
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -72,7 +71,42 @@ def unit_sphere_volume(dim: HyperDimension) -> float:
 
 def _log_k1(zeta: float) -> float:
     # ln K_1(zeta) via the scaled Bessel function, stable for large zeta
-    return math.log(float(kve(1, zeta))) - zeta
+    return math.log(_scaled_bessel_k(1, zeta)) - zeta
+
+
+def _lambert_w(log_minus_z: float, branch: int) -> float:
+    """Real Lambert W at z = -exp(L) in (-1/e, 0): W_0 for branch 0, W_-1 for branch -1.
+
+    Solves w + ln(-w) = L by Newton iteration on s = ln(-w), that is on
+    (s - expm1(s)) - (1 + L) = 0, so that w = -e^s keeps full relative
+    precision on branch 0 where |w| ~ e^L is tiny, and s - expm1(s) ~ -s^2/2
+    carries no cancellation near the branch point.  The start is the
+    branch-point series w = -1 + q - q^2/3 + 11 q^3/72 with q = +p (branch 0)
+    or -p (branch -1), p = sqrt(2(1 + e z)) = sqrt(-2 expm1(1 + L)), or for
+    p >= 1 the logarithmic asymptote: w ~ z on branch 0, w ~ L - ln(-L) on
+    branch -1 (Corless et al., Adv. Comput. Math. 5, 329 (1996)).
+    """
+    L = log_minus_z
+    p = math.sqrt(-2.0 * math.expm1(1.0 + L))
+    if p < 1.0:
+        q = p if branch == 0 else -p
+        s = math.log1p(q * (q * (1.0 / 3.0 - 11.0 / 72.0 * q) - 1.0))
+    elif branch == 0:
+        s = L + math.exp(L)
+    else:
+        s = math.log(math.log(-L) - L)
+    # Newton's error after a step of size d is below d^2 / (2p), so a step
+    # under 1e-9 leaves s (the relative error of w) at round-off
+    for _ in range(50):
+        expm1_s = math.expm1(s)
+        g = (s - expm1_s) - (1.0 + L)
+        if g == 0.0:
+            break
+        step = g / -expm1_s
+        s -= step
+        if abs(step) < 1e-9:
+            break
+    return -math.exp(s)
 
 
 def log_norm_constant(family: StateFamily, dim: HyperDimension, params: PhysicalParams) -> float:
@@ -222,7 +256,9 @@ class RadialState:
         which justifies truncating every (0, inf) integral to this window.
         The edges solve ln u(r) = ln u(peak) - drop in closed form: for u2
         kappa r^2 - 2 (sqrt(beta kappa) + drop) r + beta = 0, and for u0/u1
-        r^2 = (a/kappa^2) (-W_k(-exp(-1 - 2 drop/a))), W_0 inner, W_-1 outer.
+        r^2 = (a/kappa^2) (-W_k(-exp(-1 - 2 drop/a))), W_0 inner, W_-1 outer,
+        with the real branches of Lambert W from the in-house Newton solver
+        `_lambert_w`, which takes the exponent -1 - 2 drop/a rather than z.
         """
         drop = drop_decades * math.log(10.0)
         kappa = self.params.kappa
@@ -233,8 +269,8 @@ class RadialState:
         a = self._power()
         if a == 0.0:  # u0 at D=1: flat at the origin, drop measured from r = 1/kappa
             return 1e-30 / kappa, math.sqrt(1.0 + 2.0 * drop) / kappa
-        z = -math.exp(-1.0 - 2.0 * drop / a)
-        r_lo, r_hi = (math.sqrt(-a * lambertw(z, k).real) / kappa for k in (0, -1))
+        log_minus_z = -1.0 - 2.0 * drop / a
+        r_lo, r_hi = (math.sqrt(-a * _lambert_w(log_minus_z, k)) / kappa for k in (0, -1))
         return r_lo, r_hi
 
     def expectation(self, weight: Callable[[np.ndarray], ArrayLike] | None = None,

@@ -357,6 +357,15 @@ class TestConfigFile:
         payload = capsys.readouterr().out
         assert "1.0625" in payload  # u1 t_r at D=6
 
+    def test_abbreviated_flag_is_rejected(self, tmp_path, capsys):
+        # a prefix of --family would otherwise lose to the config's family
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"family": "u0", "D": 6}))
+        with pytest.raises(SystemExit) as exc:
+            main(["energies", "--config", str(config), "--fam", "u1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fam" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"family": "u0", "N": 2, "tempo": 9}))

@@ -93,13 +93,26 @@ def test_float_conversion():
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # QUADPACK is imported only when the fallback runs, never at start-up
+    # QUADPACK is imported only when the fallback runs, LAPACK only by propagate_free,
+    # and Bessel K and Lambert W are in-house: start-up loads no scipy module at all
     env = dict(os.environ, PYTHONPATH=str(Path(hyperradial.__file__).parents[1]))
     code = ("import sys, hyperradial.cli; "
-            "print([m for m in sys.modules if m.startswith('scipy.integrate')])")
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_energies_command_imports_no_scipy():
+    # -X importtime logs every module imported during the whole run, deferred ones included
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperradial.__file__).parents[1]))
+    argv = ["-m", "hyperradial.cli", "energies", "--family", "u2", "--D", "30"]
+    out = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env,
+                         capture_output=True, text=True, check=True)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "hyperradial.states" in imported
+    assert [m for m in imported if m == "scipy" or m.startswith("scipy.")] == []
 
 
 class TestFalseConvergenceRegressions:

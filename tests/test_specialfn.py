@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import kv, kve
 
 from hyperradial import (
     DomainError,
@@ -109,7 +110,7 @@ class TestBesselK:
         scaled = bessel_k(1, zeta) * math.exp(zeta) * math.sqrt(2.0 * zeta / math.pi)
         assert scaled == pytest.approx(1.0, rel=0.03)
 
-    @pytest.mark.parametrize("zeta", [0.0, -1.0])
+    @pytest.mark.parametrize("zeta", [0.0, -1.0, math.inf, math.nan])
     def test_domain(self, zeta):
         with pytest.raises(DomainError):
             bessel_k(1, zeta)
@@ -122,6 +123,25 @@ class TestBesselK:
     def test_order_validation(self, n):
         with pytest.raises(DomainError):
             bessel_k(n, 2.0)
+
+
+class TestBesselKAgainstScipy:
+    """scipy.special stays the external reference for the in-house trapezoid rule."""
+
+    GRID = np.geomspace(0.05, 700.0, 241)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_kv(self, n):
+        for zeta in map(float, self.GRID):
+            # scipy's kv leaves its scaled path above zeta ~ 664.9, where it is
+            # off by up to 4e-14, and flushes to 0.0 by 700; its kve does not
+            reference = kv(n, zeta) if zeta < 660.0 else kve(n, zeta) * math.exp(-zeta)
+            assert bessel_k(n, zeta) == pytest.approx(reference, rel=1e-14, abs=0.0)
+
+    def test_ratio_matches_kve(self):
+        for zeta in map(float, self.GRID):
+            reference = kve(2, zeta) / kve(1, zeta)
+            assert bessel_k_ratio(zeta) == pytest.approx(reference, rel=1e-14, abs=0.0)
 
 
 class TestBesselKRatio:

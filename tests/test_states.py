@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
+from scipy.special import lambertw
 
 from hyperradial import (
     DomainError,
@@ -22,6 +23,7 @@ from hyperradial import (
     unit_sphere_volume,
     v_q,
 )
+from hyperradial.states import _lambert_w
 
 ALL_FAMILIES = [StateFamily.U0, StateFamily.U1, StateFamily.U2]
 
@@ -261,6 +263,17 @@ class TestSupportWindow:
             fall = float(state.log_u(reference)) - float(state.log_u(r))
             assert fall == pytest.approx(drop * math.log(10.0), rel=1e-10)
         assert r_lo < reference < r_hi
+
+
+class TestLambertW:
+    @pytest.mark.parametrize("drop", [12.0, 17.0])
+    @pytest.mark.parametrize("branch", [0, -1])
+    def test_matches_scipy(self, branch, drop):
+        # the exponents support() passes: L = -1 - 2 drop ln(10) / a
+        for a in np.geomspace(0.5, 3000.0, 181):
+            log_minus_z = -1.0 - 2.0 * drop * math.log(10.0) / a
+            reference = lambertw(-math.exp(log_minus_z), branch).real
+            assert _lambert_w(log_minus_z, branch) == pytest.approx(reference, rel=1e-14, abs=0.0)
 
 
 class TestSerialization:
