@@ -107,7 +107,13 @@ class HyperDimension:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Tolerance policy shared by the quadrature-backed operations."""
+    """Tolerance policy of the quadrature rule.
+
+    Every quadrature-backed operation uses DEFAULT_TOLERANCE (rel 1e-10, abs
+    1e-12); only `integrate` and the Bessel defining-integral reference take
+    another.  The propagator's abort limits are fixed likewise: norm drift
+    1e-4, reflection 1e-8 of peak (dynamics.NORM_DRIFT_LIMIT, REFLECTION_LIMIT).
+    """
 
     rel: float = 1e-10
     abs: float = 1e-12

@@ -43,7 +43,6 @@ from typing import Callable, Optional, TextIO
 import numpy as np
 
 from .core import (
-    DEFAULT_TOLERANCE,
     DivergentIntegralError,
     DomainError,
     HyperDimension,
@@ -51,9 +50,8 @@ from .core import (
     PreconditionError,
     PropagationAborted,
     PropagationError,
-    Tolerance,
 )
-from .energy import t_r_closed, t_v_closed, v_q
+from .energy import _check_inverse_moment, t_r_closed, t_v_closed, v_q
 from .specialfn import bessel_k_ratio, gamma_ratio
 from .states import ArrayLike, RadialState, StateFamily, _as_positive_radius, _scalar_like
 
@@ -71,16 +69,7 @@ def centrifugal_force(dim: HyperDimension, params: PhysicalParams, r: ArrayLike)
     return _scalar_like(r, out)
 
 
-def _check_inverse_cube_moment(state: RadialState) -> None:
-    # u0 has |u|^2/r^3 ~ r^(D-4) near the origin: integrable only for D > 3
-    # (at D in {1,3} the strength vanishes and the integrand is identically 0)
-    if state.family is StateFamily.U0 and state.dim.d == 2:
-        raise DivergentIntegralError(
-            "<r^-3> does not exist for u0 at D=2; the centrifugal-force average diverges"
-        )
-
-
-def raman_nath_slope(state: RadialState, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def raman_nath_slope(state: RadialState) -> float:
     """Initial momentum growth rate d<p_r>/dt at t=0, in units of hbar*kappa per time.
 
     Computed as the quadrature of F_Q |u|^2 over the state's support; by
@@ -89,8 +78,8 @@ def raman_nath_slope(state: RadialState, tol: Tolerance = DEFAULT_TOLERANCE) -> 
     """
     if state.dim.strength() == 0:
         return 0.0
-    _check_inverse_cube_moment(state)
-    raw = state.expectation(partial(centrifugal_force, state.dim, state.params), tol).value
+    _check_inverse_moment(state, 3)
+    raw = state.expectation(partial(centrifugal_force, state.dim, state.params)).value
     return raw / (state.params.hbar * state.params.kappa)
 
 
@@ -105,7 +94,7 @@ def raman_nath_slope_closed(state: RadialState) -> float:
     strength = state.dim.strength()
     if strength == 0:
         return 0.0
-    _check_inverse_cube_moment(state)
+    _check_inverse_moment(state, 3)
     eps_over_hbar = state.params.epsilon() / state.params.hbar
     if state.family is StateFamily.U0:
         factor = (d - 1.0) * gamma_ratio(0.5 * (d - 1), 0.5 * d)
@@ -265,7 +254,7 @@ def _sampled_profile(state: RadialState, grid: RadialGrid) -> np.ndarray:
     return u / norm
 
 
-def _validate_run(state: RadialState, grid: RadialGrid, u: np.ndarray) -> None:
+def _validate_run(u: np.ndarray) -> None:
     density = np.abs(u) ** 2
     peak = float(density.max())
     if density[-1] > 1e-24 * peak:  # amplitude 1e-12 of peak
@@ -287,8 +276,6 @@ def propagate_free(
     n_steps: Optional[int] = None,
     *,
     record_every: int = 1,
-    norm_drift_limit: float = NORM_DRIFT_LIMIT,
-    reflection_limit: float = REFLECTION_LIMIT,
     progress: Optional[Callable[[int, int], bool]] = None,
     progress_every: int = 256,
 ) -> PropagationResult:
@@ -310,15 +297,14 @@ def propagate_free(
         Sampling stride for the returned time series.
     progress : callable, optional
         Polled every ``progress_every`` steps with (step, n_steps); return
-        False to abort the run (raises PropagationAborted).  The hook is
-        invoked from the propagation task only, so it is safe to poll
-        shared state from another thread.
+        False to abort the run (raises PropagationAborted).
 
     Raises
     ------
     PropagationError
-        On norm drift beyond ``norm_drift_limit`` or when probability
-        reaches the outer wall (reflection would corrupt the signal).
+        On norm drift beyond NORM_DRIFT_LIMIT (1e-4) or when |u|^2 at the
+        outer wall exceeds REFLECTION_LIMIT (1e-8) of its initial peak
+        (reflection would corrupt the signal).
     """
     if grid is None:
         grid = RadialGrid.for_state(state)
@@ -340,7 +326,7 @@ def propagate_free(
     n = grid.n_points
 
     u = _sampled_profile(state, grid)
-    _validate_run(state, grid, u)
+    _validate_run(u)
 
     kinetic = hbar**2 / (2.0 * mass * h**2)
     potential = np.asarray(v_q(state.dim, params, r), dtype=float)
@@ -391,15 +377,15 @@ def propagate_free(
             times.append(t)
             momenta.append(p_r_mean(u))
             norms.append(current_norm)
-            if abs(current_norm - norms[0]) > norm_drift_limit:
+            if abs(current_norm - norms[0]) > NORM_DRIFT_LIMIT:
                 raise PropagationError(
                     f"norm drifted to {current_norm:.12f} at t={t:.6g} "
-                    f"(limit {norm_drift_limit:g}); the run is untrustworthy"
+                    f"(limit {NORM_DRIFT_LIMIT:g}); the run is untrustworthy"
                 )
-            if abs(u[-1]) ** 2 > reflection_limit * peak_density:
+            if abs(u[-1]) ** 2 > REFLECTION_LIMIT * peak_density:
                 raise PropagationError(
                     f"boundary reflection detected at t={t:.6g}: |u|^2 at r_max is "
-                    f"{abs(u[-1])**2 / peak_density:.3e} of peak (limit {reflection_limit:g}); "
+                    f"{abs(u[-1])**2 / peak_density:.3e} of peak (limit {REFLECTION_LIMIT:g}); "
                     "enlarge r_max"
                 )
 

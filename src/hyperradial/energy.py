@@ -24,14 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOLERANCE,
-    DivergentIntegralError,
-    DomainError,
-    HyperDimension,
-    PhysicalParams,
-    Tolerance,
-)
+from .core import DivergentIntegralError, DomainError, HyperDimension, PhysicalParams
 from .specialfn import bessel_k_ratio
 from .states import ArrayLike, RadialState, StateFamily, _as_positive_radius, _scalar_like
 
@@ -79,36 +72,38 @@ def t_v_closed(family: StateFamily, dim: HyperDimension, params: PhysicalParams)
     return dim.strength() / (4.0 * params.beta_kappa)
 
 
-def _check_inverse_square_moment(state: RadialState) -> None:
-    # u0 ~ r^((D-1)/2) near the origin, so <r^-2> exists only for D > 2;
-    # u1 and u2 vanish fast enough for every D
+def _check_inverse_moment(state: RadialState, power: int) -> None:
+    # <r^-power> for power 2 (energies) or 3 (centrifugal force): u0 has
+    # |u|^2/r^power ~ r^(D-1-power) near the origin, and where that is not
+    # integrable the weight vanishes (D in {1, 3}) except at D=2; u1 and u2
+    # vanish fast enough for every D
     if state.family is StateFamily.U0 and state.dim.d == 2:
         raise DivergentIntegralError(
-            "<r^-2> does not exist for u0 at D=2 (|u|^2/r^2 ~ 1/r near the origin); "
-            "the energy integrals diverge rather than evaluate"
+            f"<r^-{power}> does not exist for u0 at D=2 (|u|^2/r^{power} ~ r^{1 - power} "
+            "near the origin); the integral diverges rather than evaluates"
         )
 
 
-def t_r_quadrature(state: RadialState, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def t_r_quadrature(state: RadialState) -> float:
     """T_r by adaptive quadrature of -u u'' (analytic u''), in units of epsilon."""
-    _check_inverse_square_moment(state)
+    _check_inverse_moment(state, 2)
     prefactor = state.params.hbar**2 / (2.0 * state.params.mass)
 
     def weight(r: np.ndarray) -> np.ndarray:
         return -prefactor * np.asarray(state.u_second_over_u(r))
 
-    return state.expectation(weight, tol).value / state.params.epsilon()
+    return state.expectation(weight).value / state.params.epsilon()
 
 
-def t_v_quadrature(state: RadialState, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def t_v_quadrature(state: RadialState) -> float:
     """T_V by adaptive quadrature of V_Q |u|^2, in units of epsilon.
 
     Exactly zero (no quadrature) when the strength (D-1)(D-3) vanishes.
     """
     if state.dim.strength() == 0:
         return 0.0
-    _check_inverse_square_moment(state)
-    t_v = state.expectation(partial(v_q, state.dim, state.params), tol).value
+    _check_inverse_moment(state, 2)
+    t_v = state.expectation(partial(v_q, state.dim, state.params)).value
     return t_v / state.params.epsilon()
 
 
@@ -134,18 +129,14 @@ class EnergyReport:
         object.__setattr__(self, "total", self.t_r + self.t_v)
 
 
-def energy_report(
-    state: RadialState,
-    method: str = CLOSED_FORM,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> EnergyReport:
+def energy_report(state: RadialState, method: str = CLOSED_FORM) -> EnergyReport:
     """Assemble the kinetic-energy report for a state with the chosen method."""
     if method == CLOSED_FORM:
         t_r = t_r_closed(state.family, state.dim, state.params)
         t_v = t_v_closed(state.family, state.dim, state.params)
     elif method == QUADRATURE:
-        t_r = t_r_quadrature(state, tol)
-        t_v = t_v_quadrature(state, tol)
+        t_r = t_r_quadrature(state)
+        t_v = t_v_quadrature(state)
     else:
         raise DomainError(f"unknown energy method {method!r}")
     return EnergyReport(

@@ -111,18 +111,13 @@ def integrate(
     )
 
 
-def integrate_radial(
-    f: Callable[[np.ndarray], np.ndarray],
-    r_lo: float,
-    r_hi: float,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> QuadResult:
+def integrate_radial(f: Callable[[np.ndarray], np.ndarray], r_lo: float, r_hi: float) -> QuadResult:
     """Integrate f(r) dr over [r_lo, r_hi] in the log variable s = ln r.
 
-    Both bounds must be strictly positive.  The substitution maps the
-    integrand to f(e^s) e^s, which decays at double-exponential rate for
-    all three wave-function families and is the form the tanh-sinh rule
-    is most efficient on.
+    Both bounds must be strictly positive, and the tolerance is
+    DEFAULT_TOLERANCE.  The substitution maps the integrand to f(e^s) e^s,
+    which decays at double-exponential rate for all three wave-function
+    families and is the form the tanh-sinh rule is most efficient on.
     """
     if r_lo <= 0 or r_hi <= 0:
         raise DomainError(f"radial bounds must be positive, got [{r_lo}, {r_hi}]")
@@ -131,4 +126,4 @@ def integrate_radial(
         r = np.exp(s)
         return f(r) * r
 
-    return integrate(g, math.log(r_lo), math.log(r_hi), tol)
+    return integrate(g, math.log(r_lo), math.log(r_hi))

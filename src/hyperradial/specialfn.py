@@ -24,8 +24,12 @@ import math
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCE, DomainError, PreconditionError, Tolerance
+from .core import DomainError, PreconditionError, Tolerance
 from .quadrature import integrate
+
+# Tolerance of the defining-integral reference, tighter than DEFAULT_TOLERANCE:
+# the absolute floor binds only where K_n(z) itself is below 1e-300 (z > ~690)
+REFERENCE_TOLERANCE = Tolerance(rel=1e-13, abs=1e-300)
 
 __all__ = [
     "gamma",
@@ -121,7 +125,7 @@ def bessel_k_ratio(zeta: float) -> float:
     return _scaled_bessel_k(2, zeta) / _scaled_bessel_k(1, zeta)
 
 
-def bessel_k_integral(n: int, zeta: float, tol: Tolerance | None = None) -> float:
+def bessel_k_integral(n: int, zeta: float) -> float:
     """K_n(zeta) by direct quadrature of its defining integral.
 
     The substitution r = e^t turns the integrand r^n exp(-(z/2)(r+1/r))/r
@@ -133,17 +137,15 @@ def bessel_k_integral(n: int, zeta: float, tol: Tolerance | None = None) -> floa
     the integrand underflows double precision.  This is the slow reference
     route: adaptive tanh-sinh quadrature of the unscaled definition, which
     shares neither its rule nor its integrand with the trapezoid sum behind
-    :func:`bessel_k`.
+    :func:`bessel_k`, to REFERENCE_TOLERANCE.
     """
     _check_order(n)
     _check_argument(zeta)
     if zeta >= 750.0:
         return 0.0  # true value below the double-precision underflow threshold
-    if tol is None:
-        tol = Tolerance(rel=1e-13, abs=1e-300, max_subdivisions=DEFAULT_TOLERANCE.max_subdivisions)
     t_max = math.acosh(max(750.0 / zeta, 2.0))
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.cosh(n * t) * np.exp(-zeta * np.cosh(t))
 
-    return integrate(integrand, 0.0, t_max, tol).value
+    return integrate(integrand, 0.0, t_max, REFERENCE_TOLERANCE).value

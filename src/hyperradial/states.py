@@ -28,13 +28,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOLERANCE,
-    DomainError,
-    HyperDimension,
-    PhysicalParams,
-    Tolerance,
-)
+from .core import DomainError, HyperDimension, PhysicalParams, _require_positive
 from .quadrature import QuadResult, integrate_radial
 from .specialfn import _scaled_bessel_k, log_gamma
 
@@ -43,6 +37,9 @@ ArrayLike = Union[float, np.ndarray]
 # Amplitude drop (in decades below the peak) that defines the numerical
 # support window: |u|^2 outside it integrates to well under 1e-14.
 SUPPORT_DROP_DECADES = 17.0
+# Finite-difference step of u2_eigenstate_residual, relative to the local
+# variation scale of u2
+RESIDUAL_STEP_SCALE = 5e-3
 
 
 class StateFamily(enum.Enum):
@@ -146,10 +143,9 @@ def _scalar_like(template: ArrayLike, value: np.ndarray):
 class RadialState:
     """One normalized radial wave function u(r) on (0, inf).
 
-    Immutable after construction; evaluation is pure and safe to share
-    across tasks.  The norm constant is stored in log space; the bare
-    constant is exposed as a property and is exact wherever it is
-    representable in double precision.
+    Immutable after construction; evaluation is pure.  The norm constant
+    is stored in log space; the bare constant is exposed as a property and
+    is exact wherever it is representable in double precision.
     """
 
     family: StateFamily
@@ -259,7 +255,10 @@ class RadialState:
         r^2 = (a/kappa^2) (-W_k(-exp(-1 - 2 drop/a))), W_0 inner, W_-1 outer,
         with the real branches of Lambert W from the in-house Newton solver
         `_lambert_w`, which takes the exponent -1 - 2 drop/a rather than z.
+        The drop must be positive and finite.
         """
+        if not 0 < drop_decades < math.inf:  # also rejects NaN
+            raise DomainError(f"drop_decades must be positive and finite, got {drop_decades!r}")
         drop = drop_decades * math.log(10.0)
         kappa = self.params.kappa
         if self.family is StateFamily.U2:
@@ -273,8 +272,7 @@ class RadialState:
         r_lo, r_hi = (math.sqrt(-a * _lambert_w(log_minus_z, k)) / kappa for k in (0, -1))
         return r_lo, r_hi
 
-    def expectation(self, weight: Callable[[np.ndarray], ArrayLike] | None = None,
-                    tol: Tolerance = DEFAULT_TOLERANCE) -> QuadResult:
+    def expectation(self, weight: Callable[[np.ndarray], ArrayLike] | None = None) -> QuadResult:
         """Quadrature of int weight(r) |u|^2 dr over the support window (weight 1 if None)."""
         r_lo, r_hi = self.support()
 
@@ -282,11 +280,11 @@ class RadialState:
             density = np.exp(2.0 * np.asarray(self.log_u(r)))
             return density if weight is None else np.asarray(weight(r)) * density
 
-        return integrate_radial(integrand, r_lo, r_hi, tol)
+        return integrate_radial(integrand, r_lo, r_hi)
 
-    def normalization_integral(self, tol: Tolerance = DEFAULT_TOLERANCE) -> QuadResult:
+    def normalization_integral(self) -> QuadResult:
         """Quadrature of int |u|^2 dr over the support window; must be 1."""
-        return self.expectation(None, tol)
+        return self.expectation()
 
     # -- serialization ---------------------------------------------------
 
@@ -313,10 +311,9 @@ class RadialState:
             family = StateFamily(config["family"])
         except ValueError as exc:
             raise DomainError(f"unknown family {config['family']!r}") from exc
-        kappa = float(config["kappa"])
-        beta_kappa = float(config["beta_kappa"])
-        if kappa <= 0 or beta_kappa <= 0:
-            raise DomainError("kappa and beta_kappa must be positive")
+        for name in ("kappa", "beta_kappa"):
+            _require_positive(name, config[name])
+        kappa, beta_kappa = float(config["kappa"]), float(config["beta_kappa"])
         params = PhysicalParams(kappa=kappa, beta=beta_kappa / kappa)
         return cls(family=family, dim=HyperDimension(config["D"]), params=params)
 
@@ -345,7 +342,7 @@ def eigen_potential_v2(params: PhysicalParams, r: ArrayLike) -> ArrayLike:
     return _scalar_like(r, out)
 
 
-def u2_eigenstate_residual(params: PhysicalParams, r: ArrayLike, step_scale: float = 5e-3) -> float:
+def u2_eigenstate_residual(params: PhysicalParams, r: ArrayLike) -> float:
     """Residual of the zero-energy equation u2'' - (2M/hbar^2) V2 u2 = 0.
 
     The curvature is taken from a 5-point finite-difference stencil with a
@@ -360,7 +357,7 @@ def u2_eigenstate_residual(params: PhysicalParams, r: ArrayLike, step_scale: flo
 
     # local variation scale of u2; the step must resolve it
     local_rate = np.abs(np.asarray(state.d_log_u(arr))) + 2.0 / arr + params.kappa
-    h = step_scale / local_rate
+    h = RESIDUAL_STEP_SCALE / local_rate
 
     stencil = np.zeros_like(arr)
     for offset, weight in ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0)):

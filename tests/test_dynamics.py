@@ -101,6 +101,12 @@ class TestRamanNathSlope:
         with pytest.raises(DivergentIntegralError):
             raman_nath_slope_closed(state)
 
+    def test_u0_d2_divergence_names_inverse_cube(self, params):
+        state = make_state(U0, 2, params)
+        for slope in (raman_nath_slope, raman_nath_slope_closed):
+            with pytest.raises(DivergentIntegralError, match="<r\\^-3>"):
+                slope(state)
+
 
 class TestAsymptoticSlope:
     def test_value(self, params):

@@ -264,6 +264,13 @@ class TestSupportWindow:
             assert fall == pytest.approx(drop * math.log(10.0), rel=1e-10)
         assert r_lo < reference < r_hi
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("drop", [-1.0, 0.0, math.nan, math.inf])
+    def test_drop_must_be_positive_and_finite(self, family, drop):
+        state = make_state(family, 6)
+        with pytest.raises(DomainError, match="drop_decades"):
+            state.support(drop)
+
 
 class TestLambertW:
     @pytest.mark.parametrize("drop", [12.0, 17.0])
@@ -308,6 +315,12 @@ class TestSerialization:
     def test_non_integer_dimension_rejected(self, d):
         with pytest.raises(DomainError, match="integer"):
             RadialState.from_config({"family": "u0", "D": d, "kappa": 1.0, "beta_kappa": 1.0})
+
+    @pytest.mark.parametrize("key, value", [("kappa", True), ("beta_kappa", "2"), ("kappa", -1.0)])
+    def test_non_positive_or_non_numeric_parameter_rejected(self, key, value):
+        config = {"family": "u2", "D": 6, "kappa": 1.0, "beta_kappa": 1.0, key: value}
+        with pytest.raises(DomainError, match=key):
+            RadialState.from_config(config)
 
     def test_bad_family_rejected(self):
         with pytest.raises(DomainError, match="family"):
