@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from numbers import Integral
 
 
 class HyperradialError(Exception):
@@ -87,7 +86,7 @@ class HyperDimension:
 
     def __post_init__(self) -> None:
         d = self.d
-        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        if isinstance(d, bool) or not isinstance(d, Integral) or d < 1:
             raise DomainError(f"dimension must be an integer >= 1, got {d!r}")
         object.__setattr__(self, "d", int(d))
 

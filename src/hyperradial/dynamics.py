@@ -38,9 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, TextIO
 
 from .core import (
     DivergentIntegralError,
@@ -54,6 +52,9 @@ from .core import (
 from .energy import _check_inverse_moment, t_r_closed, t_v_closed, v_q
 from .specialfn import bessel_k_ratio, gamma_ratio
 from .states import ArrayLike, RadialState, StateFamily, _as_positive_radius, _scalar_like
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_N_POINTS = 4096
 REFLECTION_LIMIT = 1e-8
@@ -158,6 +159,8 @@ class RadialGrid:
         return cls.uniform(r_outer, n_points)
 
     def points(self) -> np.ndarray:
+        import numpy as np
+
         return self.r_min + self.spacing * np.arange(self.n_points)
 
 
@@ -228,6 +231,8 @@ class PropagationResult:
         (odd in t for a real initial state), which a straight-line fit
         would alias into the slope.
         """
+        import numpy as np
+
         t, p = self.times, self.p_r_mean
         if window is not None:
             keep = t <= window
@@ -248,6 +253,8 @@ class PropagationResult:
 
 
 def _sampled_profile(state: RadialState, grid: RadialGrid) -> np.ndarray:
+    import numpy as np
+
     r = grid.points()
     u = np.asarray(state.u(r), dtype=np.complex128)
     norm = math.sqrt(float(np.sum(np.abs(u) ** 2)) * grid.spacing)
@@ -255,6 +262,8 @@ def _sampled_profile(state: RadialState, grid: RadialGrid) -> np.ndarray:
 
 
 def _validate_run(u: np.ndarray) -> None:
+    import numpy as np
+
     density = np.abs(u) ** 2
     peak = float(density.max())
     if density[-1] > 1e-24 * peak:  # amplitude 1e-12 of peak
@@ -306,6 +315,8 @@ def propagate_free(
         outer wall exceeds REFLECTION_LIMIT (1e-8) of its initial peak
         (reflection would corrupt the signal).
     """
+    import numpy as np
+
     if grid is None:
         grid = RadialGrid.for_state(state)
     if dt is None:
@@ -410,6 +421,8 @@ def bohm_quantum_potential(state: RadialState, r: ArrayLike) -> ArrayLike:
     Enters the short-time phase but drops out of <p_r> for real initial
     profiles that vanish at the origin.
     """
+    import numpy as np
+
     arr = _as_positive_radius(r)
     prefactor = state.params.hbar**2 / (2.0 * state.params.mass)
     out = -prefactor * np.asarray(state.u_second_over_u(arr))
@@ -423,6 +436,8 @@ def short_time_phase_state(state: RadialState, t: float, r: ArrayLike) -> np.nda
     amplitude is below 1e-12 of peak are returned as zero (W is undefined
     where u vanishes).  Requires |[W + V_Q] t / hbar| <= 0.5 at the peak.
     """
+    import numpy as np
+
     arr = _as_positive_radius(r)
     params = state.params
     r_peak = state.peak_radius()

@@ -21,12 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import DivergentIntegralError, DomainError, HyperDimension, PhysicalParams
 from .specialfn import bessel_k_ratio
 from .states import ArrayLike, RadialState, StateFamily, _as_positive_radius, _scalar_like
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CLOSED_FORM = "closed_form"
 QUADRATURE = "quadrature"
@@ -90,7 +92,7 @@ def t_r_quadrature(state: RadialState) -> float:
     prefactor = state.params.hbar**2 / (2.0 * state.params.mass)
 
     def weight(r: np.ndarray) -> np.ndarray:
-        return -prefactor * np.asarray(state.u_second_over_u(r))
+        return -prefactor * state.u_second_over_u(r)
 
     return state.expectation(weight).value / state.params.epsilon()
 

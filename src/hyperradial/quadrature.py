@@ -8,7 +8,8 @@ the previous nodes, and the change |I_l - I_(l-1)| between levels is the
 error estimate.  Abscissae are distances from the nearer endpoint, so nodes
 crowding an endpoint keep full relative precision.  If the tolerance is not
 met the integral falls back to adaptive Gauss-Kronrod subdivision
-(QUADPACK); ``scipy.integrate`` is imported only then.  Radial integrals
+(QUADPACK) and logs one warning on the ``hyperradial`` logger;
+``scipy.integrate`` and ``logging`` are imported only then.  Radial integrals
 over (0, inf) are truncated to the closed-form support window of the state
 and evaluated on s = ln(r), so that features spanning many decades of r
 are resolved uniformly.
@@ -21,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .core import DEFAULT_TOLERANCE, DomainError, QuadratureError, Tolerance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,8 @@ class QuadResult:
 
 
 def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: Tolerance) -> QuadResult:
+    import numpy as np
+
     half = 0.5 * (b - a)
 
     def nodes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,8 +99,13 @@ def integrate(
     if res.converged:
         return res
 
+    import logging
+
     from scipy.integrate import quad  # deferred: only the fallback needs QUADPACK
 
+    logging.getLogger("hyperradial").warning(
+        "tanh-sinh did not converge on [%.6g, %.6g]: estimate %.6e, error %.2e after %d "
+        "evaluations; falling back to Gauss-Kronrod", a, b, res.value, res.error, res.neval)
     value, abserr, info = quad(f, a, b, epsabs=tol.abs, epsrel=tol.rel,
                                limit=max(50, 2 ** tol.max_subdivisions), full_output=True)[:3]
     neval = int(info["neval"])
@@ -121,6 +130,7 @@ def integrate_radial(f: Callable[[np.ndarray], np.ndarray], r_lo: float, r_hi: f
     """
     if r_lo <= 0 or r_hi <= 0:
         raise DomainError(f"radial bounds must be positive, got [{r_lo}, {r_hi}]")
+    import numpy as np
 
     def g(s: np.ndarray) -> np.ndarray:
         r = np.exp(s)

@@ -14,35 +14,50 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor  # unused; bench/tracer.py counts pool starts through this name
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, TextIO
-
-import numpy as np
+from numbers import Integral
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, TextIO
 
 from .core import DomainError, HyperDimension, PhysicalParams
 from .dynamics import raman_nath_slope_closed
 from .energy import t_r_closed, t_v_closed
 from .states import RadialState, StateFamily
 
+if TYPE_CHECKING:
+    import numpy as np
+
 MIN_FIT_ROWS = 10
 
 
+def __getattr__(name: str):
+    # bench/tracer.py counts pool starts through this name; looked up, never started
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def fit_power_law(n_values: Sequence[float], values: Sequence[float]) -> tuple[float, float]:
-    """OLS exponent and its standard error from a log-log fit (no weighting)."""
-    x = np.log(np.asarray(n_values, dtype=float))
-    y = np.asarray(values, dtype=float)
-    if np.any(y <= 0):
-        raise DomainError("power-law fit requires strictly positive values")
-    y = np.log(y)
-    if x.size < 3:
+    """OLS exponent and its standard error from a log-log fit (no weighting).
+
+    Every sum is a correctly rounded math.fsum, so the result does not
+    depend on the order of the rows.
+    """
+    ys = [float(v) for v in values]
+    if not all(0 < v < math.inf for v in ys):  # also rejects NaN and inf
+        raise DomainError("power-law fit requires strictly positive, finite values")
+    x = [math.log(float(n)) for n in n_values]
+    y = [math.log(v) for v in ys]
+    if len(x) < 3:
         raise DomainError("power-law fit needs at least 3 rows")
-    dx = x - x.mean()
-    sxx = float(np.sum(dx * dx))
-    slope = float(np.sum(dx * (y - y.mean())) / sxx)
-    resid = y - y.mean() - slope * dx
-    stderr = math.sqrt(float(np.sum(resid**2)) / (x.size - 2) / sxx)
-    return slope, stderr
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [xi - x_mean for xi in x]
+    dy = [yi - y_mean for yi in y]
+    sxx = math.fsum(d * d for d in dx)
+    slope = math.fsum(a * b for a, b in zip(dx, dy, strict=True)) / sxx
+    sse = math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
+    return slope, math.sqrt(sse / (len(x) - 2) / sxx)
 
 
 @dataclass(frozen=True)
@@ -70,10 +85,14 @@ class ScalingTable:
 
     @property
     def n_values(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([row.n for row in self.rows])
 
     @property
     def values(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([row.value for row in self.rows])
 
     def to_csv(self, stream: TextIO) -> None:
@@ -141,7 +160,7 @@ def fermion_trap_energy(n: int, params: PhysicalParams) -> FermionTrapEnergy:
 def _check_n_values(n_values: Iterable[int], minimum: int) -> list[int]:
     ns = list(n_values)
     for n in ns:
-        if not isinstance(n, (int, np.integer)) or n < minimum:
+        if not isinstance(n, Integral) or isinstance(n, bool) or n < minimum:
             raise DomainError(f"N values must be integers >= {minimum}, got {n!r}")
     return [int(n) for n in ns]
 
@@ -190,9 +209,10 @@ def slope_scaling_table(
 def fermion_scaling_table(
     n_values: Iterable[int], params: PhysicalParams, jobs: int = 1
 ) -> ScalingTable:
-    """Exact N^2 hbar Omega / 2 reference column (fit exponent is exactly 2).
+    """Exact N^2 hbar Omega / 2 reference column (fit exponent 2 to round-off).
 
-    `jobs` has no effect.
+    Every value is an exact power of N, so the fitted exponent is 2 within a
+    few ulps and its error is round-off (below 1e-15).  `jobs` has no effect.
     """
     ns = _check_n_values(n_values, minimum=1)
     values = [fermion_trap_energy(n, params).closed for n in ns]

@@ -7,22 +7,23 @@ production Bessel path is one trapezoid rule on the scaled integral
 
 whose integrand is entire and decays double-exponentially, so equal steps
 converge geometrically (Trefethen & Weideman, SIAM Review 56, 385 (2014)).
-The defining integral
+Its ten to a few hundred terms are a plain loop over ``math`` summed
+with ``math.fsum``, so every closed form that takes a Bessel K runs without
+numpy.  The defining integral
 
     K_n(z) = 1/2 * int_0^inf r^n exp(-(z/2)(r + 1/r)) dr / r
 
 is kept available through :func:`bessel_k_integral` as a separate
 cross-check: a tanh-sinh quadrature of the unscaled form exp(-z cosh t)
 cosh(n t), sharing neither the rule nor the integrand with the production
-path.  The two must agree to 1e-9 relative over z in [0.1, 50] and n in
-{0, 1, 2}.
+path; it is the one function here that imports numpy, when it is called.
+The two must agree to 1e-9 relative over z in [0.1, 50] and n in {0, 1, 2}.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from numbers import Integral
 
 from .core import DomainError, PreconditionError, Tolerance
 from .quadrature import integrate
@@ -75,7 +76,7 @@ def gamma_ratio_asymptotic(a: float, z: float, b1: float, b2: float) -> float:
 
 
 def _check_order(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
+    if not isinstance(n, Integral) or isinstance(n, bool) or n < 0:
         raise DomainError(f"Bessel order must be a non-negative integer, got {n!r}")
 
 
@@ -100,11 +101,14 @@ def _scaled_bessel_k(n: int, x: float) -> float:
     t_c = n / x + math.sqrt((n / x) ** 2 + 84.0 / x)
     for _ in range(2):
         t_c = 2.0 * math.asinh(math.sqrt((42.0 + n * t_c) / (2.0 * x)))
-    t = h * np.arange(int(t_c / h) + 1)
-    g = n * t - 2.0 * x * np.sinh(0.5 * t) ** 2
-    g = g[g >= -42.0]
-    terms = np.exp(g) * (0.5 + 0.5 * np.exp(-2.0 * n * t[: g.size]))
-    return h * (float(np.sum(terms)) - 0.5)  # the t = 0 term is 1, with weight 1/2
+    terms = [-0.5]  # the t = 0 term is 1, with weight 1/2
+    for k in range(int(t_c / h) + 1):
+        t = h * k
+        g = n * t - 2.0 * x * math.sinh(0.5 * t) ** 2
+        if g < -42.0:
+            break
+        terms.append(math.exp(g) * (0.5 + 0.5 * math.exp(-2.0 * n * t)))
+    return h * math.fsum(terms)
 
 
 def bessel_k(n: int, zeta: float) -> float:
@@ -144,6 +148,8 @@ def bessel_k_integral(n: int, zeta: float) -> float:
     if zeta >= 750.0:
         return 0.0  # true value below the double-precision underflow threshold
     t_max = math.acosh(max(750.0 / zeta, 2.0))
+
+    import numpy as np
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.cosh(n * t) * np.exp(-zeta * np.cosh(t))

@@ -24,15 +24,18 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Union
 
 from .core import DomainError, HyperDimension, PhysicalParams, _require_positive
 from .quadrature import QuadResult, integrate_radial
 from .specialfn import _scaled_bessel_k, log_gamma
 
-ArrayLike = Union[float, np.ndarray]
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported by the functions that build or evaluate arrays, never at
+# module level, so the closed forms run without it
+ArrayLike = Union[float, "np.ndarray"]
 
 # Amplitude drop (in decades below the peak) that defines the numerical
 # support window: |u|^2 outside it integrates to well under 1e-14.
@@ -125,6 +128,8 @@ def norm_constant(family: StateFamily, dim: HyperDimension, params: PhysicalPara
 
 
 def _as_positive_radius(r: ArrayLike) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(r, dtype=float)
     if arr.size == 0:
         raise DomainError("empty radius array")
@@ -134,6 +139,8 @@ def _as_positive_radius(r: ArrayLike) -> np.ndarray:
 
 
 def _scalar_like(template: ArrayLike, value: np.ndarray):
+    import numpy as np
+
     if np.isscalar(template) or (isinstance(template, np.ndarray) and template.ndim == 0):
         return float(value)
     return value
@@ -174,6 +181,8 @@ class RadialState:
 
     def log_u(self, r: ArrayLike) -> ArrayLike:
         """ln u(r); u is strictly positive for r > 0 in all three families."""
+        import numpy as np
+
         arr = _as_positive_radius(r)
         kappa = self.params.kappa
         if self.family is StateFamily.U2:
@@ -186,6 +195,8 @@ class RadialState:
 
     def u(self, r: ArrayLike) -> ArrayLike:
         """Radial profile u(r)."""
+        import numpy as np
+
         return _scalar_like(r, np.exp(self.log_u(_as_positive_radius(r))))
 
     def d_log_u(self, r: ArrayLike) -> ArrayLike:
@@ -219,6 +230,8 @@ class RadialState:
 
     def log_abs_psi(self, r: ArrayLike) -> ArrayLike:
         """ln |Psi(r)| of the full D-dimensional wave function."""
+        import numpy as np
+
         arr = _as_positive_radius(r)
         out = (
             np.asarray(self.log_u(arr))
@@ -229,6 +242,8 @@ class RadialState:
 
     def psi(self, r: ArrayLike) -> ArrayLike:
         """Full wave function Psi(r) = u(r) / (sqrt(S_D) r^((D-1)/2))."""
+        import numpy as np
+
         return _scalar_like(r, np.exp(np.asarray(self.log_abs_psi(r))))
 
     # -- geometry of the profile ----------------------------------------
@@ -274,6 +289,8 @@ class RadialState:
 
     def expectation(self, weight: Callable[[np.ndarray], ArrayLike] | None = None) -> QuadResult:
         """Quadrature of int weight(r) |u|^2 dr over the support window (weight 1 if None)."""
+        import numpy as np
+
         r_lo, r_hi = self.support()
 
         def integrand(r: np.ndarray) -> np.ndarray:
@@ -352,6 +369,8 @@ def u2_eigenstate_residual(params: PhysicalParams, r: ArrayLike) -> float:
     radii; the scan normalizer follows the convention of quoting residuals
     against the largest curvature in the window.
     """
+    import numpy as np
+
     arr = _as_positive_radius(r)
     state = RadialState(family=StateFamily.U2, dim=HyperDimension(3), params=params)
 

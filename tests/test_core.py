@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +80,15 @@ class TestHyperDimension:
     def test_rejects_bad_dimension(self, d):
         with pytest.raises(DomainError):
             HyperDimension(d)
+
+    @pytest.mark.parametrize("d", [True, False])
+    def test_rejects_bool(self, d):
+        with pytest.raises(DomainError):
+            HyperDimension(d)
+
+    def test_accepts_numpy_integer(self):
+        dim = HyperDimension(np.int64(30))
+        assert dim.d == 30 and type(dim.d) is int
 
 
 class TestTolerance:

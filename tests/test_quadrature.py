@@ -1,3 +1,4 @@
+import logging
 import math
 import os
 import subprocess
@@ -18,6 +19,7 @@ from hyperradial import (
     integrate,
     integrate_radial,
     make_state,
+    quadrature,
     t_r_closed,
     t_r_quadrature,
 )
@@ -74,6 +76,29 @@ def test_gauss_kronrod_fallback():
     assert res.method == "gauss_kronrod"
     assert res.converged
     assert res.value == pytest.approx((1.0 - math.cos(500.0)) / 50.0, rel=1e-8)
+
+
+def test_gauss_kronrod_fallback_logs_one_warning(caplog):
+    # the call of test_gauss_kronrod_fallback: one warning names the interval
+    # and the tanh-sinh estimate, error and evaluation count it gave up on
+    tol = Tolerance(rel=1e-4, abs=1e-6, max_subdivisions=3)
+    with caplog.at_level(logging.DEBUG, logger="hyperradial"):
+        res = integrate(lambda x: np.sin(50.0 * x), 0.0, 10.0, tol)
+    assert res.method == "gauss_kronrod"
+    [record] = caplog.records
+    assert record.name == "hyperradial" and record.levelno == logging.WARNING
+    given_up = quadrature._tanh_sinh(lambda x: np.sin(50.0 * x), 0.0, 10.0, tol)
+    message = record.getMessage()
+    assert "[0, 10]" in message
+    assert f"estimate {given_up.value:.6e}, error {given_up.error:.2e}" in message
+    assert f"after {given_up.neval} evaluations" in message
+
+
+def test_converged_integral_logs_nothing(caplog):
+    with caplog.at_level(logging.DEBUG, logger="hyperradial"):
+        integrate(lambda x: np.exp(-x) * np.sin(3 * x), 0.0, 8.0)
+        make_state("u2", 30).normalization_integral()
+    assert caplog.records == []
 
 
 def test_nonconvergent_raises_with_diagnostics():

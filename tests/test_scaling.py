@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hyperradial import (
     fit_power_law,
     slope_scaling_table,
 )
+from hyperradial.cli import RECIPES, _parse_n_range, build_parser
 
 U0, U1, U2 = StateFamily.U0, StateFamily.U1, StateFamily.U2
 
@@ -57,6 +59,29 @@ class TestFitPowerLaw:
     def test_needs_three_rows(self):
         with pytest.raises(DomainError):
             fit_power_law([1, 2], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(DomainError):
+            fit_power_law([1, 2, 3], [1.0, bad, 3.0])
+
+    @pytest.mark.parametrize("recipe", ["tv-quadratic", "sqrt-slope", "n2-slope", "fermion-ladder"])
+    def test_matches_numpy_polyfit_on_recipe_tables(self, recipe):
+        args = build_parser().parse_args(RECIPES[recipe][1])
+        n_values = _parse_n_range(args.N)
+        if args.quantity == "fermion":
+            table = fermion_scaling_table(n_values, PhysicalParams())
+        elif args.quantity == "slope":
+            table = slope_scaling_table(StateFamily(args.family), n_values, PhysicalParams())
+        else:
+            table = energy_scaling_table(StateFamily(args.family), n_values, PhysicalParams(),
+                                         component=args.component)
+        x, y = np.log(table.n_values.astype(float)), np.log(table.values)
+        (slope, _), cov = np.polyfit(x, y, 1, cov=True)  # covariance scaled by SSE / (n - 2)
+        exponent, err = fit_power_law(table.n_values, table.values)
+        assert exponent == pytest.approx(slope, rel=1e-13, abs=0.0)
+        # the fermion ladder is an exact power law: both errors are round-off, below 1e-15
+        assert err == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-9, abs=1e-15)
 
 
 class TestEnergyScaling:
@@ -150,6 +175,16 @@ class TestFermionScalingTable:
     def test_exact_square(self, params):
         table = fermion_scaling_table(range(1, 101), params)
         assert table.fit_exponent == pytest.approx(2.0, abs=1e-13)
+
+    def test_bool_is_not_a_particle_count(self, params):
+        # fermion_trap_energy(True, ...) is a DomainError; the table must agree
+        with pytest.raises(DomainError):
+            fermion_scaling_table([True, *range(2, 12)], params)
+
+    def test_numpy_integers_are_particle_counts(self, params):
+        table = fermion_scaling_table(np.arange(1, 12), params)
+        assert [row.n for row in table.rows] == list(range(1, 12))
+        assert all(type(row.n) is int for row in table.rows)
 
     def test_jobs_parallel_matches_serial(self, params):
         serial = fermion_scaling_table(range(1, 41), params, jobs=1)

@@ -124,6 +124,13 @@ class TestBesselK:
         with pytest.raises(DomainError):
             bessel_k(n, 2.0)
 
+    def test_bool_is_not_an_order(self):
+        with pytest.raises(DomainError):
+            bessel_k(True, 2.0)
+
+    def test_numpy_integer_order(self):
+        assert bessel_k(np.int64(2), 2.0) == bessel_k(2, 2.0)
+
 
 class TestBesselKAgainstScipy:
     """scipy.special stays the external reference for the in-house trapezoid rule."""

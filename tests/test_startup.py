@@ -1,0 +1,55 @@
+"""Start-up cost of the closed-form commands: no numpy, no process-pool machinery.
+
+The tables of `scaling` and the table recipes are closed forms on `math`
+alone; numpy is imported by the functions that build or evaluate arrays,
+and `concurrent.futures` only when `ProcessPoolExecutor` is looked up.
+"""
+
+import concurrent.futures
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hyperradial
+from hyperradial import cli, scaling
+
+ENV = dict(os.environ, PYTHONPATH=str(Path(hyperradial.__file__).parents[1]))
+
+CLOSED_FORM_COMMANDS = [
+    ["recipe", "--list"],
+    ["recipe", "tv-quadratic"],
+    ["recipe", "sqrt-slope"],
+    ["recipe", "n2-slope"],
+    ["recipe", "fermion-ladder"],
+    ["scaling", "--quantity", "energy", "--family", "u2", "--component", "total", "--N", "2:100"],
+    ["scaling", "--quantity", "slope", "--family", "u1", "--N", "2:100"],
+]
+
+
+def test_cli_import_loads_neither_numpy_nor_concurrent_futures():
+    code = ("import sys, hyperradial.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('numpy', 'concurrent')))")
+    out = subprocess.run([sys.executable, "-c", code], env=ENV,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM_COMMANDS, ids=" ".join)
+def test_closed_form_command_imports_no_numpy(argv):
+    # -X importtime logs every module imported during the whole run, deferred ones included
+    out = subprocess.run([sys.executable, "-X", "importtime", "-m", "hyperradial.cli", *argv],
+                         env=ENV, capture_output=True, text=True, check=True)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "hyperradial.scaling" in imported
+    assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+
+
+@pytest.mark.parametrize("module", [cli, scaling], ids=lambda m: m.__name__)
+def test_process_pool_name_is_looked_up_lazily(module):
+    assert module.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+    with pytest.raises(AttributeError, match="no attribute 'ThreadPoolExecutor'"):
+        module.ThreadPoolExecutor
