@@ -499,7 +499,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (DomainError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:  # ArithmeticError: float overflow
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -51,7 +51,7 @@ from .core import (
 )
 from .energy import _check_inverse_moment, t_r_closed, t_v_closed, v_q
 from .specialfn import bessel_k_ratio, gamma_ratio
-from .states import ArrayLike, RadialState, StateFamily, _as_positive_radius, _scalar_like
+from .states import ArrayLike, RadialState, StateFamily, _as_positive_radius, _scalar_like, _trap_power
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,23 +87,21 @@ def raman_nath_slope(state: RadialState) -> float:
 def raman_nath_slope_closed(state: RadialState) -> float:
     """Closed-form Raman-Nath slope, same units as :func:`raman_nath_slope`.
 
-    u0: (D-1) Gamma((D-1)/2)/Gamma(D/2) * eps/hbar
-    u1: (D-1)(D-3)/2 * Gamma((D+1)/2)/Gamma((D+4)/2) * eps/hbar
-    u2: (D-1)(D-3) / (2 (beta kappa)^(3/2)) * K2/K1(2 sqrt(beta kappa)) * eps/hbar
+    u0, u1 (r^a exp(-kappa^2 r^2/2)): s / (2 (a-1)) * Gamma(a)/Gamma(a+1/2) * eps/hbar
+    u2: s / (2 (beta kappa)^(3/2)) * K2/K1(2 sqrt(beta kappa)) * eps/hbar
+    with s = (D-1)(D-3) and a = (D-1)/2 for u0, (D+3)/2 for u1.
     """
-    d = state.dim.d
     strength = state.dim.strength()
     if strength == 0:
         return 0.0
     _check_inverse_moment(state, 3)
     eps_over_hbar = state.params.epsilon() / state.params.hbar
-    if state.family is StateFamily.U0:
-        factor = (d - 1.0) * gamma_ratio(0.5 * (d - 1), 0.5 * d)
-    elif state.family is StateFamily.U1:
-        factor = 0.5 * strength * gamma_ratio(0.5 * (d + 1), 0.5 * (d + 4))
-    else:
+    if state.family is StateFamily.U2:
         bk = state.params.beta_kappa
         factor = strength / (2.0 * bk**1.5) * bessel_k_ratio(2.0 * math.sqrt(bk))
+    else:
+        a = _trap_power(state.family, state.dim)
+        factor = strength / (2.0 * (a - 1.0)) * gamma_ratio(a, a + 0.5)
     return factor * eps_over_hbar
 
 

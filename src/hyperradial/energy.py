@@ -14,6 +14,16 @@ energy is available both in closed form and by adaptive quadrature with
 the analytic second derivative of the profile; the two routes are kept
 independent so that one can certify the other.  All energies are returned
 in units of epsilon = (hbar kappa)^2 / 2M.
+
+The trap states u0 and u1 are one profile r^a exp(-kappa^2 r^2 / 2), with
+a = (D-1)/2 and (D+3)/2 (states._trap_power).  With m = 2a - 1 (D - 2 for
+u0, D + 2 for u1) the moment <(kappa r)^-2> is 2/m, so
+
+    T_r = 1 + 1/(2m),    T_V = s/(2m),    s = (D-1)(D-3),
+
+and u0 at D <= 2 (m <= 0) has no closed form.  Since 2/m falls like 2/D,
+T_V of a trap state grows linearly in N; for u2 the moment 1/(beta kappa)
+does not depend on D and T_V = s/(4 beta kappa) grows as N^2.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from typing import TYPE_CHECKING
 
 from .core import DivergentIntegralError, DomainError, HyperDimension, PhysicalParams
 from .specialfn import bessel_k_ratio
-from .states import ArrayLike, RadialState, StateFamily, _as_positive_radius, _scalar_like
+from .states import ArrayLike, RadialState, StateFamily, _as_positive_radius, _scalar_like, _trap_power
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,36 +52,31 @@ def v_q(dim: HyperDimension, params: PhysicalParams, r: ArrayLike) -> ArrayLike:
     return _scalar_like(r, out)
 
 
-def _reject_u0_closed_form(family: StateFamily, dim: HyperDimension) -> None:
-    if family is StateFamily.U0 and dim.d <= 2:
+def _trap_order(family: StateFamily, dim: HyperDimension) -> float:
+    # m = 2a - 1 of the trap profile r^a exp(-kappa^2 r^2 / 2), so <(kappa r)^-2> = 2/m
+    m = 2.0 * _trap_power(family, dim) - 1.0
+    if m <= 0:
         raise DomainError(
             f"u0 closed forms contain a 1/(D-2) singularity; D={dim.d} is rejected "
             "(the D=2 integrals diverge, <r^-2> does not exist)"
         )
+    return m
 
 
 def t_r_closed(family: StateFamily, dim: HyperDimension, params: PhysicalParams) -> float:
     """Closed-form para-radial energy T_r in units of epsilon."""
-    _reject_u0_closed_form(family, dim)
-    d = dim.d
-    if family is StateFamily.U0:
-        return 1.0 + 0.5 / (d - 2.0)
-    if family is StateFamily.U1:
-        return 1.0 + 0.5 / (d + 2.0)
-    bk = params.beta_kappa
-    zeta = 2.0 * math.sqrt(bk)
-    return bessel_k_ratio(zeta) / (2.0 * math.sqrt(bk))
+    if family is StateFamily.U2:
+        bk = params.beta_kappa
+        zeta = 2.0 * math.sqrt(bk)
+        return bessel_k_ratio(zeta) / (2.0 * math.sqrt(bk))
+    return 1.0 + 0.5 / _trap_order(family, dim)
 
 
 def t_v_closed(family: StateFamily, dim: HyperDimension, params: PhysicalParams) -> float:
     """Closed-form centrifugal energy T_V in units of epsilon."""
-    _reject_u0_closed_form(family, dim)
-    d = dim.d
-    if family is StateFamily.U0:
-        return 0.5 * d - 1.0 - 0.5 / (d - 2.0)
-    if family is StateFamily.U1:
-        return 0.5 * d - 3.0 + 7.5 / (d + 2.0)
-    return dim.strength() / (4.0 * params.beta_kappa)
+    if family is StateFamily.U2:
+        return dim.strength() / (4.0 * params.beta_kappa)
+    return dim.strength() / (2.0 * _trap_order(family, dim))
 
 
 def _check_inverse_moment(state: RadialState, power: int) -> None:

@@ -42,15 +42,21 @@ def fit_power_law(n_values: Sequence[float], values: Sequence[float]) -> tuple[f
     """OLS exponent and its standard error from a log-log fit (no weighting).
 
     Every sum is a correctly rounded math.fsum, so the result does not
-    depend on the order of the rows.
+    depend on the order of the rows.  A column constant in N fits exactly
+    (0.0, 0.0) rather than to round-off in the centred logs.
     """
+    ns = [float(n) for n in n_values]
     ys = [float(v) for v in values]
-    if not all(0 < v < math.inf for v in ys):  # also rejects NaN and inf
-        raise DomainError("power-law fit requires strictly positive, finite values")
-    x = [math.log(float(n)) for n in n_values]
-    y = [math.log(v) for v in ys]
-    if len(x) < 3:
+    if not all(0 < v < math.inf for v in ns + ys):  # also rejects NaN and inf
+        raise DomainError("power-law fit requires strictly positive, finite N and values")
+    if len(ns) < 3:
         raise DomainError("power-law fit needs at least 3 rows")
+    if min(ns) == max(ns):
+        raise DomainError("power-law fit needs at least two distinct N values")
+    if min(ys) == max(ys):
+        return 0.0, 0.0
+    x = [math.log(n) for n in ns]
+    y = [math.log(v) for v in ys]
     x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
     dx = [xi - x_mean for xi in x]
     dy = [yi - y_mean for yi in y]

@@ -109,16 +109,25 @@ def _lambert_w(log_minus_z: float, branch: int) -> float:
     return -math.exp(s)
 
 
+def _trap_power(family: StateFamily, dim: HyperDimension) -> float:
+    """Power a of the trap profile r^a exp(-kappa^2 r^2 / 2): (D-1)/2 for u0, (D+3)/2 for u1."""
+    if family is StateFamily.U0:
+        return 0.5 * (dim.d - 1)
+    if family is StateFamily.U1:
+        return 0.5 * (dim.d + 3)
+    raise DomainError("u2 has no power-law prefactor")
+
+
 def log_norm_constant(family: StateFamily, dim: HyperDimension, params: PhysicalParams) -> float:
     """ln of the closed-form normalization constant N0, N1 or N2."""
-    d, kappa = dim.d, params.kappa
-    if family is StateFamily.U0:
-        return 0.5 * (math.log(2.0) - log_gamma(0.5 * d)) + 0.5 * d * math.log(kappa)
-    if family is StateFamily.U1:
-        return 0.5 * (math.log(2.0) - log_gamma(0.5 * d + 2.0)) + (0.5 * d + 2.0) * math.log(kappa)
-    bk = params.beta_kappa
-    zeta = 2.0 * math.sqrt(bk)
-    return -0.25 * math.log(bk) + 0.5 * (math.log(kappa) - math.log(2.0) - _log_k1(zeta))
+    kappa = params.kappa
+    if family is StateFamily.U2:
+        bk = params.beta_kappa
+        zeta = 2.0 * math.sqrt(bk)
+        return -0.25 * math.log(bk) + 0.5 * (math.log(kappa) - math.log(2.0) - _log_k1(zeta))
+    # int r^(2a) exp(-kappa^2 r^2) dr = Gamma(b) / (2 kappa^(2b)) with b = a + 1/2
+    b = _trap_power(family, dim) + 0.5
+    return 0.5 * (math.log(2.0) - log_gamma(b)) + b * math.log(kappa)
 
 
 def norm_constant(family: StateFamily, dim: HyperDimension, params: PhysicalParams) -> float:
@@ -169,14 +178,6 @@ class RadialState:
     def norm_constant(self) -> float:
         return math.exp(self.log_norm)
 
-    def _power(self) -> float:
-        # exponent a in u ~ r^a near the origin; u2 vanishes faster than any power
-        if self.family is StateFamily.U0:
-            return 0.5 * (self.dim.d - 1)
-        if self.family is StateFamily.U1:
-            return 0.5 * (self.dim.d + 3)
-        raise DomainError("u2 has no power-law prefactor")
-
     # -- evaluation -----------------------------------------------------
 
     def log_u(self, r: ArrayLike) -> ArrayLike:
@@ -189,7 +190,7 @@ class RadialState:
             beta = self.params.beta
             out = self.log_norm - 0.5 * (beta / arr + kappa * arr)
         else:
-            a = self._power()
+            a = _trap_power(self.family, self.dim)
             out = self.log_norm + a * np.log(arr) - 0.5 * (kappa * arr) ** 2
         return _scalar_like(r, out)
 
@@ -207,7 +208,7 @@ class RadialState:
             beta = self.params.beta
             out = 0.5 * beta / arr**2 - 0.5 * kappa
         else:
-            a = self._power()
+            a = _trap_power(self.family, self.dim)
             out = a / arr - kappa**2 * arr
         return _scalar_like(r, out)
 
@@ -224,7 +225,7 @@ class RadialState:
                 + kappa**2 / 4.0
             )
         else:
-            a = self._power()
+            a = _trap_power(self.family, self.dim)
             out = a * (a - 1.0) / arr**2 - kappa**2 * (2.0 * a + 1.0) + kappa**4 * arr**2
         return _scalar_like(r, out)
 
@@ -257,7 +258,7 @@ class RadialState:
         kappa = self.params.kappa
         if self.family is StateFamily.U2:
             return math.sqrt(self.params.beta / kappa)
-        a = self._power()
+        a = _trap_power(self.family, self.dim)
         return math.sqrt(a) / kappa if a > 0 else 0.0
 
     def support(self, drop_decades: float = SUPPORT_DROP_DECADES) -> tuple[float, float]:
@@ -280,7 +281,7 @@ class RadialState:
             beta, root_bk = self.params.beta, math.sqrt(self.params.beta_kappa)
             r_hi = (root_bk + drop + math.sqrt(drop * (drop + 2.0 * root_bk))) / kappa
             return beta / (kappa * r_hi), r_hi  # product of the roots, free of cancellation
-        a = self._power()
+        a = _trap_power(self.family, self.dim)
         if a == 0.0:  # u0 at D=1: flat at the origin, drop measured from r = 1/kappa
             return 1e-30 / kappa, math.sqrt(1.0 + 2.0 * drop) / kappa
         log_minus_z = -1.0 - 2.0 * drop / a

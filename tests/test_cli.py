@@ -65,6 +65,16 @@ class TestInvalidScales:
         assert main(["scaling", "--quantity", "fermion", "--N", "1:20", "--kappa", "0"]) == 2
         assert "must be a positive number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["scaling", "--quantity", "slope", "--family", "u0", "--N", "2:20", "--kappa", "1e160"],
+        ["energies", "--family", "u2", "--D", "6", "--kappa", "1e200"],
+        ["energies", "--family", "u2", "--D", "6", "--beta-kappa", "1e-320"],
+        ["scaling", "--quantity", "slope", "--family", "u2", "--N", "2:20", "--beta-kappa", "1e300"],
+    ])
+    def test_overflow_is_numerical_failure(self, argv, capsys):
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+
     @pytest.mark.parametrize("key", ["kappa", "beta_kappa"])
     def test_null_in_config(self, key, tmp_path, capsys):
         config = tmp_path / "run.json"

@@ -67,8 +67,10 @@ class TestRamanNathSlope:
             expected, rel=1e-13
         )
 
-    def test_u0_d6_quadrature_matches(self, params):
-        state = make_state(U0, 6, params)
+    @pytest.mark.parametrize("family", [U0, U1])
+    @pytest.mark.parametrize("d", [6, 60, 600, 3000])
+    def test_quadrature_matches(self, family, d, params):
+        state = make_state(family, d, params)
         assert raman_nath_slope(state) == pytest.approx(
             raman_nath_slope_closed(state), rel=1e-8
         )

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,13 @@ class TestClosedForms:
     def test_u1_total_negative_correction_at_d2(self, params):
         # u1 remains regular at D=2; its centrifugal part goes negative there
         assert t_v_closed(U1, HyperDimension(2), params) == pytest.approx(-0.125, rel=1e-13)
+
+    @pytest.mark.parametrize("family, first_d, offset", [(U0, 3, -2), (U1, 1, 2)])
+    def test_t_v_is_correctly_rounded_rational(self, family, first_d, offset, params):
+        # T_V = s / (2m) with s = (D-1)(D-3) and m = D - 2 (u0) or D + 2 (u1)
+        for d in range(first_d, 3001):
+            exact = Fraction((d - 1) * (d - 3), 2 * (d + offset))
+            assert t_v_closed(family, HyperDimension(d), params) == float(exact), d
 
 
 class TestQuadratureRoutes:

@@ -65,6 +65,19 @@ class TestFitPowerLaw:
         with pytest.raises(DomainError):
             fit_power_law([1, 2, 3], [1.0, bad, 3.0])
 
+    def test_constant_column_fits_exactly(self, params):
+        table = energy_scaling_table(U2, range(2, 101), params, component="t_r")
+        assert (table.fit_exponent, table.fit_error) == (0.0, 0.0)
+
+    def test_rejects_equal_n_values(self, params):
+        with pytest.raises(DomainError, match="distinct N"):
+            energy_scaling_table(U0, [5] * 10, params)
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_rejects_non_positive_n(self, bad):
+        with pytest.raises(DomainError):
+            fit_power_law([bad, 2, 3], [1.0, 2.0, 3.0])
+
     @pytest.mark.parametrize("recipe", ["tv-quadratic", "sqrt-slope", "n2-slope", "fermion-ladder"])
     def test_matches_numpy_polyfit_on_recipe_tables(self, recipe):
         args = build_parser().parse_args(RECIPES[recipe][1])
