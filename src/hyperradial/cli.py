@@ -259,6 +259,7 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
             "spacing": result.grid.spacing,
         },
         "dt": result.dt,
+        "dt_cap": result.dt_cap,
         "n_steps": len(result.times) - 1,
         "record_every": args.record_every,
     }

@@ -70,7 +70,11 @@ class PhysicalParams:
 
     def epsilon(self) -> float:
         """Kinetic energy scale (hbar*kappa)^2 / (2M)."""
-        return (self.hbar * self.kappa) ** 2 / (2.0 * self.mass)
+        try:
+            return (self.hbar * self.kappa) ** 2 / (2.0 * self.mass)
+        except OverflowError:
+            raise OverflowError(f"epsilon = (hbar*kappa)^2/(2M) overflows at kappa={self.kappa:g} "
+                                f"(hbar={self.hbar:g}, mass={self.mass:g})") from None
 
     @property
     def beta_kappa(self) -> float:

@@ -47,6 +47,9 @@ def fit_power_law(n_values: Sequence[float], values: Sequence[float]) -> tuple[f
     """
     ns = [float(n) for n in n_values]
     ys = [float(v) for v in values]
+    if len(ns) != len(ys):
+        raise DomainError(f"power-law fit needs one value per N, "
+                          f"got {len(ns)} N and {len(ys)} values")
     if not all(0 < v < math.inf for v in ns + ys):  # also rejects NaN and inf
         raise DomainError("power-law fit requires strictly positive, finite N and values")
     if len(ns) < 3:
@@ -61,7 +64,7 @@ def fit_power_law(n_values: Sequence[float], values: Sequence[float]) -> tuple[f
     dx = [xi - x_mean for xi in x]
     dy = [yi - y_mean for yi in y]
     sxx = math.fsum(d * d for d in dx)
-    slope = math.fsum(a * b for a, b in zip(dx, dy, strict=True)) / sxx
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / sxx
     sse = math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
     return slope, math.sqrt(sse / (len(x) - 2) / sxx)
 

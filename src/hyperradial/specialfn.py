@@ -31,6 +31,8 @@ from .quadrature import integrate
 # Tolerance of the defining-integral reference, tighter than DEFAULT_TOLERANCE:
 # the absolute floor binds only where K_n(z) itself is below 1e-300 (z > ~690)
 REFERENCE_TOLERANCE = Tolerance(rel=1e-13, abs=1e-300)
+# B_2k / (2k (2k - 1)) for k = 1..4: the terms of the Stirling series of ln Gamma
+_STIRLING_COEFFICIENTS = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0)
 
 __all__ = [
     "gamma",
@@ -58,7 +60,25 @@ def log_gamma(x: float) -> float:
 
 
 def gamma_ratio(x: float, y: float) -> float:
-    """Exact ratio Gamma(x)/Gamma(y), formed in log space to dodge overflow."""
+    """Ratio Gamma(x)/Gamma(y), formed in log space to dodge overflow.
+
+    The log-space difference keeps only the absolute precision of lgamma
+    values near x ln x, so the half step y = x + 1/2 of the trap-state
+    slopes is formed without it: by math.gamma below x = 100, and above by
+    the Stirling series of the difference (DLMF 5.11.1),
+
+        ln Gamma(x) - ln Gamma(x + 1/2) = 1/2 - ln(x)/2 - x log1p(1/(2x))
+                                          + sum_k c_k (x^(1-2k) - (x + 1/2)^(1-2k)),
+
+    whose first omitted term is below 1e-20 at x >= 100.  Both stay
+    within 3 ulp of the exact ratio.
+    """
+    if y == x + 0.5 and x > 0:
+        if x < 100.0:
+            return math.gamma(x) / math.gamma(y)
+        series = math.fsum(c * (x ** (1 - 2 * k) - y ** (1 - 2 * k))
+                           for k, c in enumerate(_STIRLING_COEFFICIENTS, start=1))
+        return math.exp(0.5 - x * math.log1p(0.5 / x) + series) / math.sqrt(x)
     return math.exp(log_gamma(x) - log_gamma(y))
 
 
@@ -98,7 +118,11 @@ def _scaled_bessel_k(n: int, x: float) -> float:
     # bounds t_c by the root of n t - x t^2 / 2 = -42, and the increasing map
     # t -> 2 asinh(sqrt((42 + n t) / 2x)), whose fixed point is t_c, takes any
     # upper bound on t_c to a tighter one.
-    t_c = n / x + math.sqrt((n / x) ** 2 + 84.0 / x)
+    try:
+        t_c = n / x + math.sqrt((n / x) ** 2 + 84.0 / x)
+    except OverflowError:
+        raise OverflowError(f"the cut-off of the Bessel K_{n} sum overflows at argument {x:.3g} "
+                            "(u2 takes 2 sqrt(beta*kappa): beta*kappa too small)") from None
     for _ in range(2):
         t_c = 2.0 * math.asinh(math.sqrt((42.0 + n * t_c) / (2.0 * x)))
     terms = [-0.5]  # the t = 0 term is 1, with weight 1/2

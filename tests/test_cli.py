@@ -75,6 +75,21 @@ class TestInvalidScales:
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("numerical failure: ")
 
+    @pytest.mark.parametrize("argv, quantity, parameter", [
+        (["scaling", "--quantity", "slope", "--family", "u0", "--N", "2:20", "--kappa", "1e160"],
+         "epsilon = (hbar*kappa)^2/(2M)", "kappa=1e+160"),
+        (["energies", "--family", "u2", "--D", "6", "--kappa", "1e200"],
+         "epsilon = (hbar*kappa)^2/(2M)", "kappa=1e+200"),
+        (["energies", "--family", "u2", "--D", "6", "--beta-kappa", "1e-320"],
+         "cut-off of the Bessel K_1 sum", "beta*kappa too small"),
+        (["scaling", "--quantity", "slope", "--family", "u2", "--N", "2:20", "--beta-kappa", "1e300"],
+         "(beta*kappa)^(3/2) of the u2 slope", "beta*kappa=1e+300"),
+    ])
+    def test_overflow_names_quantity_and_parameter(self, argv, quantity, parameter, capsys):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert quantity in err and parameter in err, err
+
     @pytest.mark.parametrize("key", ["kappa", "beta_kappa"])
     def test_null_in_config(self, key, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -126,6 +141,14 @@ class TestScalingCommand:
 
 
 class TestPropagateCommand:
+    @pytest.mark.parametrize("extra, dt_cap", [([], "centrifugal"), (["--dt", "1e-5"], "given")])
+    def test_sidecar_records_the_cap_that_set_dt(self, extra, dt_cap, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        assert main(["propagate", "--family", "u0", "--D", "6", "--n-points", "1024",
+                     "--n-steps", "16", "--output", str(out), *extra]) == 0
+        sidecar = json.loads((tmp_path / "run.config.json").read_text())
+        assert (sidecar["dt_cap"], sidecar["n_steps"]) == (dt_cap, 16)
+
     def test_writes_series_and_sidecar(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         code = main(

@@ -1,4 +1,6 @@
 import math
+from decimal import Context, Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +46,25 @@ def exact_gaussian_momentum(d: int, t, params: PhysicalParams):
     return ratio * tau / np.sqrt(1.0 + tau**2)
 
 
+PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510")
+SQRT_PI = Fraction(PI_50.sqrt(Context(prec=50)))
+
+
+def exact_trap_slope(family: StateFamily, d: int) -> float:
+    """u0/u1 Raman-Nath slope at eps/hbar = 1/2, from exact integers and sqrt(pi) to 50 digits.
+
+    s / (2(a-1)) * Gamma(a)/Gamma(a+1/2), with Gamma(n)/Gamma(n+1/2) = 4^n / (n C(2n,n) sqrt(pi))
+    for a = n and Gamma(n+1/2)/Gamma(n+1) = C(2n,n) sqrt(pi) / 4^n for a = n + 1/2.
+    """
+    twice_a = d - 1 if family is U0 else d + 3
+    n = twice_a // 2
+    if twice_a % 2 == 0:
+        ratio = Fraction(4**n, n * math.comb(2 * n, n)) / SQRT_PI
+    else:
+        ratio = Fraction(math.comb(2 * n, n), 4**n) * SQRT_PI
+    return float(Fraction((d - 1) * (d - 3), twice_a - 2) * ratio / 2)
+
+
 class TestCentrifugalForce:
     def test_zero_at_d3(self, params):
         assert centrifugal_force(HyperDimension(3), params, 0.8) == 0.0
@@ -80,6 +101,16 @@ class TestRamanNathSlope:
         expected = 0.5 * 8.0 * 6.0 * gamma_ratio(5.0, 6.5) * params.epsilon()
         assert raman_nath_slope_closed(state) == pytest.approx(expected, rel=1e-13)
         assert raman_nath_slope(state) == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("family", [U0, U1])
+    def test_trap_closed_form_to_the_last_digits(self, family, params):
+        # Gamma(a)/Gamma(a+1/2) from an lgamma difference is 6e-14 off at
+        # D = 100 and 2e-11 at D = 20000
+        dims = list(range(4, 41)) + [99, 100, 509, 510, 2999, 3000, 9999, 10000, 19999, 20000]
+        errors = {d: raman_nath_slope_closed(make_state(family, d, params))
+                  / exact_trap_slope(family, d) - 1.0 for d in dims}
+        worst = max(errors, key=lambda d: abs(errors[d]))
+        assert abs(errors[worst]) <= 1e-15, f"D={worst}: rel error {errors[worst]:.3e}"
 
     def test_u2_d30(self, params):
         from hyperradial import bessel_k_ratio
@@ -180,6 +211,34 @@ class TestRadialGrid:
         grid = RadialGrid.for_state(state, 1024)
         dt = default_time_step(state, grid)
         assert dt < 0.1 * 2.0 * grid.spacing**2
+
+    def test_kinetic_cap_binds_for_u0_d6_on_8192_points(self, params):
+        # the centrifugal cap, taken where |u|^2 is 1e-12 of its peak, lies above the kinetic one
+        state = make_state(U0, 6, params)
+        grid = RadialGrid.for_state(state, 8192)
+        assert default_time_step(state, grid) == 0.1 * 2.0 * grid.spacing**2
+        result = propagate_free(state, grid, n_steps=1)
+        assert result.dt_cap == "kinetic"
+        assert result.dt == 0.1 * 2.0 * grid.spacing**2
+
+    def test_fit_cap_binds_for_u0_d1200(self, params):
+        state = make_state(U0, 1200, params)
+        result = propagate_free(state, RadialGrid.for_state(state, 4096), n_steps=1)
+        assert result.dt_cap == "fit_window/16"
+        assert result.dt == fit_window(state) / 16
+
+    def test_centrifugal_cap_names_itself(self, params):
+        state = make_state(U2, 30, params)
+        result = propagate_free(state, RadialGrid.for_state(state, 1024), n_steps=1)
+        assert result.dt_cap == "centrifugal"
+        assert propagate_free(state, result.grid, dt=result.dt, n_steps=1).dt_cap == "given"
+
+    def test_u2_d30_default_run_is_short_and_on_slope(self, params):
+        state = make_state(U2, 30, params)
+        result = propagate_free(state, RadialGrid.for_state(state, 4096))
+        assert len(result.times) - 1 < 100
+        measured = result.measured_slope(fit_window(state))
+        assert measured == pytest.approx(raman_nath_slope_closed(state), rel=1e-2)
 
     @pytest.mark.parametrize("family, d", [(U0, 6), (U2, 30)])
     def test_default_time_step_fit_cap_does_not_bind_at_small_d(self, family, d, params):

@@ -73,6 +73,11 @@ class TestFitPowerLaw:
         with pytest.raises(DomainError, match="distinct N"):
             energy_scaling_table(U0, [5] * 10, params)
 
+    @pytest.mark.parametrize("values", [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0, 5.0]])
+    def test_rejects_unequal_lengths(self, values):
+        with pytest.raises(DomainError, match="one value per N"):
+            fit_power_law([1, 2, 3, 4], values)
+
     @pytest.mark.parametrize("bad", [0, -1])
     def test_rejects_non_positive_n(self, bad):
         with pytest.raises(DomainError):
