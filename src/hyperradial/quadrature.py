@@ -9,10 +9,12 @@ error estimate.  Abscissae are distances from the nearer endpoint, so nodes
 crowding an endpoint keep full relative precision.  If the tolerance is not
 met the integral falls back to adaptive Gauss-Kronrod subdivision
 (QUADPACK) and logs one warning on the ``hyperradial`` logger;
-``scipy.integrate`` and ``logging`` are imported only then.  Radial integrals
-over (0, inf) are truncated to the closed-form support window of the state
-and evaluated on s = ln(r), so that features spanning many decades of r
-are resolved uniformly.
+``scipy.integrate`` and ``logging`` are imported only then.  An infinite
+level sum (a node rounded onto a singular endpoint) falls back at once; a
+NaN level sum raises QuadratureError at once, since no rule can repair it.
+Radial integrals over (0, inf) are truncated to the closed-form support
+window of the state and evaluated on s = ln(r), so that features spanning
+many decades of r are resolved uniformly.
 
 Node layouts of both rules are deterministic: identical inputs produce
 bit-identical results.
@@ -56,21 +58,32 @@ def _tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: T
         weight = 2.0 * math.pi * half * np.cosh(t) * e / (1.0 + e) ** 2
         return np.concatenate((a + delta, b - delta)), np.concatenate((weight, weight))
 
-    # |t| <= 4: the weights there are ~1e-35 of the centre's; a cut at 3.2
-    # would lose 9e-9 on int_0^1 dx/sqrt(x)
-    h = 0.5
-    x, w = nodes(h * np.arange(1.0, 9.0))
-    x, w = np.append(a + half, x), np.append(0.5 * math.pi * half, w)
-    total, neval = float(np.dot(w, f(x))), x.size
-    value = h * total
-    for _ in range(max(tol.max_subdivisions, 3)):
-        h *= 0.5
-        x, w = nodes(h * np.arange(1.0, 4.0 / h, 2.0))  # odd multiples of the new step
-        total, neval = total + float(np.dot(w, f(x))), neval + x.size
-        previous, value = value, h * total
-        error = abs(value - previous)
-        if error <= max(tol.abs, tol.rel * abs(value)):
-            return QuadResult(value, error, neval, "tanh_sinh", True)
+    def level_sum(x: np.ndarray, w: np.ndarray) -> float:
+        total = float(np.dot(w, f(x)))
+        if math.isnan(total):  # no finer level and no QUADPACK can repair a NaN
+            raise QuadratureError(f"integrand is not finite on [{a:.6g}, {b:.6g}]: a level "
+                                  f"of {x.size} tanh-sinh nodes sums to nan")
+        return total
+
+    # the integrand's own overflow and divide warnings give way to that error
+    with np.errstate(all="ignore"):
+        # |t| <= 4: the weights there are ~1e-35 of the centre's; a cut at 3.2
+        # would lose 9e-9 on int_0^1 dx/sqrt(x)
+        h = 0.5
+        x, w = nodes(h * np.arange(1.0, 9.0))
+        x, w = np.append(a + half, x), np.append(0.5 * math.pi * half, w)
+        total, neval = level_sum(x, w), x.size
+        value, error = h * total, math.inf
+        for _ in range(max(tol.max_subdivisions, 3)):
+            if math.isinf(total):  # a node on a singular endpoint; QUADPACK never samples one
+                break
+            h *= 0.5
+            x, w = nodes(h * np.arange(1.0, 4.0 / h, 2.0))  # odd multiples of the new step
+            total, neval = total + level_sum(x, w), neval + x.size
+            previous, value = value, h * total
+            error = abs(value - previous)
+            if error <= max(tol.abs, tol.rel * abs(value)):
+                return QuadResult(value, error, neval, "tanh_sinh", True)
     return QuadResult(value, error, neval, "tanh_sinh", False)
 
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import warnings
 
 import pytest
 
@@ -89,6 +90,17 @@ class TestInvalidScales:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert quantity in err and parameter in err, err
+
+    def test_non_finite_integrand_is_named_without_warnings(self, capsys):
+        # beta*kappa = 1e-300 puts the u2 support window down to r ~ 1e-302, where
+        # u''/u evaluates to inf - inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["energies", "--family", "u2", "--D", "6", "--beta-kappa", "1e-300"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: integrand is not finite on ["), err
+        assert "Gauss-Kronrod" not in err
 
     @pytest.mark.parametrize("key", ["kappa", "beta_kappa"])
     def test_null_in_config(self, key, tmp_path, capsys):
@@ -233,6 +245,12 @@ class TestPropagateCommand:
         assert "note:" not in err
         ratio = float(err.split("ratio=")[1].split()[0])
         assert ratio == pytest.approx(1.0, rel=1e-2)
+
+    def test_profile_not_vanishing_at_origin_rejected(self, capsys):
+        assert main(["propagate", "--family", "u0", "--D", "1", "--n-points", "1024"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: u0 at D=1 does not vanish at the origin")
 
     def test_reflection_is_numerical_failure(self, capsys):
         code = main(

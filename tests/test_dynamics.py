@@ -245,8 +245,9 @@ class TestRadialGrid:
         from hyperradial import v_q
 
         state = make_state(family, d, params)
-        grid = RadialGrid.for_state(state, 1024)
-        r_edge = max(grid.r_min, state.support(drop_decades=12.0)[0])
+        grid = RadialGrid.for_state(state, 8192)
+        r_edge = state.support(drop_decades=6.0)[0]
+        assert r_edge > grid.r_min  # else the cap would be taken at r_min, whatever the edge
         kinetic = 0.1 * 2.0 * grid.spacing**2
         centrifugal = 0.1 / abs(float(v_q(state.dim, params, r_edge)))
         assert default_time_step(state, grid) == min(kinetic, centrifugal)
@@ -416,6 +417,12 @@ class TestPropagation:
         grid = RadialGrid.uniform(state.peak_radius() + 9.0, 512)
         with pytest.raises(PropagationError, match="reflection"):
             propagate_free(state, grid, dt=2e-3, n_steps=4000, record_every=50)
+
+    def test_profile_not_vanishing_at_origin_rejected(self, params):
+        # u0 at D=1 is a half-Gaussian with u(0) = N0, the wall at r = 0 holds u = 0
+        state = make_state(U0, 1, params)
+        with pytest.raises(PreconditionError, match="does not vanish at the origin"):
+            propagate_free(state, RadialGrid.for_state(state, 1024))
 
     def test_grid_containment_precondition(self, params):
         state = make_state(U0, 6, params)

@@ -69,6 +69,27 @@ def test_rejects_infinite_bounds():
         integrate(lambda x: np.exp(-x * x), 0.0, math.inf)
 
 
+def test_nan_integrand_raises_without_fallback(caplog):
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.where(x > 0.75, np.nan, 1.0)
+
+    with pytest.raises(QuadratureError, match=r"integrand is not finite on \[0, 1\]"):
+        integrate(f, 0.0, 1.0)
+    assert calls == [17]  # the first level, and no QUADPACK call
+    assert caplog.records == []
+
+
+def test_infinite_endpoint_node_falls_back_at_once(caplog):
+    # 1 - delta rounds to 1 for the outermost nodes, where 1/sqrt(1 - x) is infinite
+    res = integrate(lambda x: 1.0 / np.sqrt(1.0 - x), 0.0, 1.0)
+    assert res.method == "gauss_kronrod"
+    assert res.value == pytest.approx(2.0, rel=1e-10)
+    assert "after 17 evaluations" in caplog.records[0].getMessage()
+
+
 def test_gauss_kronrod_fallback():
     # capped tanh-sinh levels cannot resolve 80 oscillation periods; QUADPACK can
     tol = Tolerance(rel=1e-4, abs=1e-6, max_subdivisions=3)

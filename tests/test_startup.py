@@ -2,7 +2,9 @@
 
 The tables of `scaling` and the table recipes are closed forms on `math`
 alone; numpy is imported by the functions that build or evaluate arrays,
-and `concurrent.futures` only when `ProcessPoolExecutor` is looked up.
+and `concurrent.futures` only when `ProcessPoolExecutor` is looked up.  A
+propagation loads LAPACK from scipy's compiled `_flapack` module without
+importing `scipy.linalg`.
 """
 
 import concurrent.futures
@@ -53,3 +55,28 @@ def test_process_pool_name_is_looked_up_lazily(module):
     assert module.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
     with pytest.raises(AttributeError, match="no attribute 'ThreadPoolExecutor'"):
         module.ThreadPoolExecutor
+
+
+def test_propagation_leaves_scipy_linalg_unimported():
+    code = ("import sys\n"
+            "from hyperradial import cli, make_state, propagate_free, RadialGrid\n"
+            "argv = ['propagate', '--family', 'u2', '--D', '30', '--n-points', '1024']\n"
+            "assert cli.main(argv) == 0\n"
+            "state = make_state('u0', 6)\n"
+            "propagate_free(state, RadialGrid.for_state(state, 1024), n_steps=4)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+    out = subprocess.run([sys.executable, "-c", code], env=ENV,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "['scipy.linalg._flapack']"
+
+
+def test_lapack_loader_returns_the_get_lapack_funcs_pair():
+    import numpy as np
+    from scipy.linalg import get_lapack_funcs
+
+    from hyperradial import dynamics
+
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(3, dtype=np.complex128),))
+    loaded = dynamics._tridiagonal_lapack()
+    assert loaded[0] is gttrf and loaded[1] is gttrs
+    assert dynamics._tridiagonal_lapack() is loaded
