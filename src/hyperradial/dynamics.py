@@ -19,12 +19,17 @@ with a 3-point Laplacian is unconditionally stable and exactly unitary in
 the discrete l2 norm, so norm drift measures only solver round-off (about
 2e-13 per 1e4 steps).  Since B = 2 - A, each step solves the constant
 tridiagonal system (A/2) y = u, LU-factored once, and sets u_new = y - u
-(Goldberg, Schey & Schwartz, Am. J. Phys. 35, 177 (1967)).  The observables
-are one vdot each: the norm is h * <u, u>, and with zero walls the
-central-difference <p_r> is hbar Im sum conj(u_j) u_(j+1), which is exactly
-zero for a real profile.  The two LAPACK routines, zgttrf and zgttrs, are
-loaded from scipy's compiled _flapack module once per process, without
-importing scipy.linalg (about 0.3 s and 26 MB of a propagation's start).
+(Goldberg, Schey & Schwartz, Am. J. Phys. 35, 177 (1967)).  The diagonal of
+A/2 outweighs its off-diagonal, so the LU factors (LAPACK zgttrf) need no row
+interchange, and a factorization that made one raises PropagationError.
+Writing U = D U1 and L1 = D^-1 L D, a step scales u by 1/d and makes two
+unit-diagonal bidiagonal solves in place (LAPACK ztbtrs), with no pivot test
+or division per row.  The observables are one vdot each: the norm is
+h * <u, u>, and with zero walls the central-difference <p_r> is
+hbar Im sum conj(u_j) u_(j+1), which is exactly zero for a real profile.
+The two LAPACK routines, zgttrf and ztbtrs, are loaded from scipy's compiled
+_flapack module once per process, without importing scipy.linalg (about
+0.3 s and 26 MB of a propagation's start).
 
 Dirichlet walls sit one grid spacing below r_min (i.e. at r = 0) and one
 above r_max, so the profile has to vanish at the origin: u0 at D = 1, a
@@ -272,12 +277,14 @@ class PropagationResult:
 
 @cache
 def _tridiagonal_lapack() -> tuple[Callable, Callable]:
-    """LAPACK zgttrf/zgttrs, loaded from scipy's compiled _flapack module.
+    """LAPACK zgttrf/ztbtrs, loaded from scipy's compiled _flapack module.
 
-    Loading the extension directly skips scipy/linalg/__init__.py, whose
-    imports cost about 0.3 s and 26 MB per process.  CPython caches an
-    extension module per file and name, so these are the same objects that
-    scipy.linalg.get_lapack_funcs(("gttrf", "gttrs")) returns for complex128.
+    zgttrf LU-factors the Crank-Nicolson matrix once; ztbtrs makes the two
+    unit-diagonal bidiagonal solves of each step.  Loading the extension
+    directly skips scipy/linalg/__init__.py, whose imports cost about 0.3 s
+    and 26 MB per process.  CPython caches an extension module per file and
+    name, so these are the same objects that
+    scipy.linalg.get_lapack_funcs(("gttrf", "tbtrs")) returns for complex128.
     """
     import os
     from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -293,7 +300,7 @@ def _tridiagonal_lapack() -> tuple[Callable, Callable]:
         raise ImportError(f"{name} not found under {finder.path}", name=name)
     flapack = module_from_spec(spec)
     spec.loader.exec_module(flapack)
-    return flapack.zgttrf, flapack.zgttrs
+    return flapack.zgttrf, flapack.ztbtrs
 
 
 def _sampled_profile(state: RadialState, grid: RadialGrid) -> np.ndarray:
@@ -408,16 +415,27 @@ def propagate_free(
     h_off = -kinetic
 
     alpha = 1j * dt / (2.0 * hbar)
-    # B = 1 - alpha H = 2 - A, so A^-1 B u = y - u with (A/2) y = u: LU-factor
-    # the constant tridiagonal A/2 once (LAPACK zgttrf) and each step is one
-    # zgttrs solve in place plus a subtraction
+    # B = 1 - alpha H = 2 - A, so A^-1 B u = y - u with (A/2) y = u.  A/2 = L U is
+    # factored once (LAPACK zgttrf) without row interchanges: its diagonal 2K + V_Q is
+    # at least 1.75 K (V_Q attractive at D = 2), its off-diagonal K.  With U = D U1 and
+    # L1 = D^-1 L D, each step solves L1 U1 y = u / d by two in-place unit-diagonal
+    # banded solves (LAPACK ztbtrs, kd = 1)
     dl = np.full(n - 1, 0.5 * alpha * h_off, dtype=np.complex128)
     dd = 0.5 + 0.5 * alpha * h_diag.astype(np.complex128)
     du = dl.copy()
-    gttrf, gttrs = _tridiagonal_lapack()
+    gttrf, tbtrs = _tridiagonal_lapack()
     dl_f, d_f, du_f, du2_f, ipiv, info = gttrf(dl, dd, du)
     if info != 0:
         raise PropagationError(f"tridiagonal factorization failed (LAPACK info={info})")
+    if not np.array_equal(ipiv, np.arange(1, n + 1)) or du2_f.any():
+        raise PropagationError("tridiagonal factorization interchanged rows; the "
+                               "Crank-Nicolson step needs a pivot-free LU")
+    dinv = 1.0 / d_f
+    # LAPACK band storage (ldab = 2, column-major): the unit diagonal is never read
+    lower = np.ones((2, n), dtype=np.complex128, order="F")
+    lower[1, :-1] = dl_f * d_f[:-1] / d_f[1:]
+    upper = np.ones((2, n), dtype=np.complex128, order="F")
+    upper[0, 1:] = du_f / d_f[:-1]
 
     def p_r_mean(vec: np.ndarray) -> float:
         # central-difference d/dr between zero walls: sum conj(u_j)(u_{j+1} - u_{j-1})
@@ -434,10 +452,11 @@ def propagate_free(
 
     y = np.empty_like(u)
     for step in range(1, n_steps + 1):
-        np.copyto(y, u)
-        y, info = gttrs(dl_f, d_f, du_f, du2_f, ipiv, y, overwrite_b=1)
-        if info != 0:
-            raise PropagationError(f"tridiagonal solve failed at step {step} (info={info})")
+        np.multiply(u, dinv, out=y)
+        for uplo, band in (("L", lower), ("U", upper)):
+            y, info = tbtrs(band, y, uplo=uplo, diag="U", overwrite_b=1)
+            if info != 0:
+                raise PropagationError(f"banded solve failed at step {step} (info={info})")
         np.subtract(y, u, out=y)
         u, y = y, u
         if progress is not None and step % progress_every == 0:

@@ -11,7 +11,9 @@ met the integral falls back to adaptive Gauss-Kronrod subdivision
 (QUADPACK) and logs one warning on the ``hyperradial`` logger;
 ``scipy.integrate`` and ``logging`` are imported only then.  An infinite
 level sum (a node rounded onto a singular endpoint) falls back at once; a
-NaN level sum raises QuadratureError at once, since no rule can repair it.
+NaN level sum raises QuadratureError at once, since no rule can repair it;
+so does an arithmetic error that the integrand raises inside QUADPACK,
+which calls it on Python floats.
 Radial integrals over (0, inf) are truncated to the closed-form support
 window of the state and evaluated on s = ln(r), so that features spanning
 many decades of r are resolved uniformly.
@@ -119,8 +121,12 @@ def integrate(
     logging.getLogger("hyperradial").warning(
         "tanh-sinh did not converge on [%.6g, %.6g]: estimate %.6e, error %.2e after %d "
         "evaluations; falling back to Gauss-Kronrod", a, b, res.value, res.error, res.neval)
-    value, abserr, info = quad(f, a, b, epsabs=tol.abs, epsrel=tol.rel,
-                               limit=max(50, 2 ** tol.max_subdivisions), full_output=True)[:3]
+    try:
+        value, abserr, info = quad(f, a, b, epsabs=tol.abs, epsrel=tol.rel,
+                                   limit=max(50, 2 ** tol.max_subdivisions), full_output=True)[:3]
+    except ArithmeticError as exc:  # QUADPACK calls f on scalars, which raise where arrays give inf
+        raise QuadratureError(f"integrand failed on [{a:.6g}, {b:.6g}] during the Gauss-Kronrod "
+                              f"fallback: {type(exc).__name__}: {exc}") from exc
     neval = int(info["neval"])
     if abserr <= max(tol.abs, tol.rel * abs(value)):
         return QuadResult(float(value), float(abserr), neval, "gauss_kronrod", True)
@@ -137,7 +143,8 @@ def integrate_radial(f: Callable[[np.ndarray], np.ndarray], r_lo: float, r_hi: f
     """Integrate f(r) dr over [r_lo, r_hi] in the log variable s = ln r.
 
     Both bounds must be strictly positive, and the tolerance is
-    DEFAULT_TOLERANCE.  The substitution maps the integrand to f(e^s) e^s,
+    DEFAULT_TOLERANCE.  A QuadratureError names the radial window as well as
+    the interval in s.  The substitution maps the integrand to f(e^s) e^s,
     which decays at double-exponential rate for all three wave-function
     families and is the form the tanh-sinh rule is most efficient on.
     """
@@ -149,4 +156,8 @@ def integrate_radial(f: Callable[[np.ndarray], np.ndarray], r_lo: float, r_hi: f
         r = np.exp(s)
         return f(r) * r
 
-    return integrate(g, math.log(r_lo), math.log(r_hi))
+    try:
+        return integrate(g, math.log(r_lo), math.log(r_hi))
+    except QuadratureError as exc:
+        raise QuadratureError(f"{exc} (the interval is s = ln r for r in "
+                              f"[{r_lo:.3g}, {r_hi:.3g}])") from None

@@ -1,9 +1,15 @@
 import argparse
+import filecmp
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import hyperradial
 from hyperradial import cli, scaling
 from hyperradial.cli import build_parser, main
 from hyperradial.core import PhysicalParams
@@ -102,6 +108,13 @@ class TestInvalidScales:
         assert err.startswith("numerical failure: integrand is not finite on ["), err
         assert "Gauss-Kronrod" not in err
 
+    def test_non_finite_integrand_names_the_radial_window(self, capsys):
+        code = main(["energies", "--family", "u2", "--D", "6", "--beta-kappa", "1e-300"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "on [-695.136, 4.36039]" in err, err
+        assert "r in [1.28e-302, 78.3]" in err, err
+
     @pytest.mark.parametrize("key", ["kappa", "beta_kappa"])
     def test_null_in_config(self, key, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -189,6 +202,20 @@ class TestPropagateCommand:
             texts.append(out.read_text())
         capsys.readouterr()
         assert texts[0] == texts[1]
+
+    def test_files_do_not_depend_on_blas_threads(self, tmp_path):
+        # the step's banded solves run in the BLAS library, whose thread count
+        # must not reach the files
+        env = dict(os.environ, PYTHONPATH=str(Path(hyperradial.__file__).parents[1]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        for name, extra in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+            argv = ["propagate", "--family", "u2", "--D", "30", "--n-points", "1024",
+                    "--output", str(tmp_path / f"{name}.csv")]
+            subprocess.run([sys.executable, "-m", "hyperradial.cli", *argv],
+                           env={**env, **extra}, capture_output=True, check=True)
+        for suffix in (".csv", ".config.json"):
+            assert filecmp.cmp(tmp_path / f"one{suffix}", tmp_path / f"default{suffix}",
+                               shallow=False)
 
     def test_unwritable_sidecar(self, tmp_path, capsys):
         (tmp_path / "run.config.json").mkdir()

@@ -424,6 +424,21 @@ class TestPropagation:
         with pytest.raises(PreconditionError, match="does not vanish at the origin"):
             propagate_free(state, RadialGrid.for_state(state, 1024))
 
+    def test_row_interchange_in_the_factorization_raises(self, params, monkeypatch):
+        from hyperradial import dynamics
+
+        gttrf, tbtrs = dynamics._tridiagonal_lapack()
+
+        def swapping_gttrf(dl, d, du):
+            dl_f, d_f, du_f, du2_f, ipiv, info = gttrf(dl, d, du)
+            ipiv[0] = 2  # LAPACK's record of a swap of rows 1 and 2
+            return dl_f, d_f, du_f, du2_f, ipiv, info
+
+        monkeypatch.setattr(dynamics, "_tridiagonal_lapack", lambda: (swapping_gttrf, tbtrs))
+        state = make_state(U0, 6, params)
+        with pytest.raises(PropagationError, match="interchanged rows"):
+            propagate_free(state, RadialGrid.for_state(state, 1024), n_steps=4)
+
     def test_grid_containment_precondition(self, params):
         state = make_state(U0, 6, params)
         grid = RadialGrid.uniform(state.peak_radius() + 2.0, 512)
@@ -528,13 +543,19 @@ def reference_cayley_run(state, grid, dt, n_steps):
 
 
 class TestStepOracle:
-    @pytest.mark.parametrize("family, d", [(U0, 6), (U2, 30)])
-    def test_matches_reference_stepper(self, family, d, params):
+    # u0 D=2 has an attractive V_Q, the smallest diagonal margin of the factorization
+    @pytest.mark.parametrize("family, d, n_points, n_steps", [
+        pytest.param(U0, 6, 1024, 50, id="StateFamily.U0-6"),
+        pytest.param(U2, 30, 1024, 50, id="StateFamily.U2-30"),
+        pytest.param(U0, 2, 1024, 50, id="StateFamily.U0-2"),
+        pytest.param(U1, 15, 4096, 300, id="StateFamily.U1-15-4096-300"),
+    ])
+    def test_matches_reference_stepper(self, family, d, n_points, n_steps, params):
         state = make_state(family, d, params)
-        grid = RadialGrid.for_state(state, 1024)
+        grid = RadialGrid.for_state(state, n_points)
         dt = default_time_step(state, grid)
-        result = propagate_free(state, grid, dt, 50)
-        momenta, norms = reference_cayley_run(state, grid, dt, 50)
+        result = propagate_free(state, grid, dt, n_steps)
+        momenta, norms = reference_cayley_run(state, grid, dt, n_steps)
         assert np.max(np.abs(momenta)) > 0.0
         assert np.max(np.abs(result.p_r_mean - momenta)) <= 1e-12 * np.max(np.abs(momenta))
         assert np.max(np.abs(result.norm - norms)) <= 1e-13

@@ -90,6 +90,13 @@ def test_infinite_endpoint_node_falls_back_at_once(caplog):
     assert "after 17 evaluations" in caplog.records[0].getMessage()
 
 
+def test_integrand_arithmetic_error_in_fallback_is_a_quadrature_error():
+    # the centre node sits on the pole, so tanh-sinh sums to inf and falls back; QUADPACK
+    # samples x = 0.5 as a Python float, where the division raises instead of giving inf
+    with pytest.raises(QuadratureError, match=r"integrand failed on \[0, 1\].*ZeroDivisionError"):
+        integrate(lambda x: 1.0 / (x - 0.5) ** 2, 0.0, 1.0)
+
+
 def test_gauss_kronrod_fallback():
     # capped tanh-sinh levels cannot resolve 80 oscillation periods; QUADPACK can
     tol = Tolerance(rel=1e-4, abs=1e-6, max_subdivisions=3)

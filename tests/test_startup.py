@@ -76,7 +76,7 @@ def test_lapack_loader_returns_the_get_lapack_funcs_pair():
 
     from hyperradial import dynamics
 
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(3, dtype=np.complex128),))
+    gttrf, tbtrs = get_lapack_funcs(("gttrf", "tbtrs"), (np.zeros(3, dtype=np.complex128),))
     loaded = dynamics._tridiagonal_lapack()
-    assert loaded[0] is gttrf and loaded[1] is gttrs
+    assert loaded[0] is gttrf and loaded[1] is tbtrs
     assert dynamics._tridiagonal_lapack() is loaded
