@@ -27,30 +27,28 @@ unit-diagonal bidiagonal solves in place (LAPACK ztbtrs), with no pivot test
 or division per row.  The observables are one vdot each: the norm is
 h * <u, u>, and with zero walls the central-difference <p_r> is
 hbar Im sum conj(u_j) u_(j+1), which is exactly zero for a real profile.
-The two LAPACK routines, zgttrf and ztbtrs, are loaded from scipy's compiled
-_flapack module once per process, without importing scipy.linalg (about
-0.3 s and 26 MB of a propagation's start).
+Both routines are loaded once per process by _tridiagonal_lapack.
 
-Dirichlet walls sit one grid spacing below r_min (i.e. at r = 0) and one
-above r_max, so the profile has to vanish at the origin: u0 at D = 1, a
-half-Gaussian with u(0) = N0, is rejected.  Accuracy, not stability, sets
-the time step: dt is capped by the kinetic phase per step across one cell,
-by the centrifugal phase per step at the radius where |u| has dropped 6
-decades below its peak, and by fit_window / MIN_FIT_STEPS, so that the
-slope fit has samples at every D.
-The centrifugal potential is enormous at the literal r_min, but the wave
-function is void there, and it carries no weight the slope can see where
-|u|^2 is below 1e-12 of its peak: a cap taken 12 decades down (|u|^2 at
-1e-24) takes up to 4 times the steps (u0 at D=6 on 8192 points, u2 at
-D = 30 to 3000), with every measured slope the same to 3 digits.
-PropagationResult.dt_cap names the cap that set a default dt.
+The grid is n_points nodes r_j = (j + 1) h between Dirichlet walls at the
+origin and at (n_points + 1) h, so the profile has to vanish at the origin:
+u0 at D = 1, a half-Gaussian with u(0) = N0, is rejected.  Accuracy, not
+stability, sets the time step.  One table names its caps, in the order that
+settles a tie: the kinetic phase per step across one cell, fit_window /
+MIN_FIT_STEPS (so the slope fit has samples at every D), and the centrifugal
+phase per step where |u| has dropped 6 decades below its peak.
+default_time_step is their minimum; PropagationResult.dt_cap names the cap
+that set a default dt.  The centrifugal potential is enormous at r_min, but
+the wave function is void there, and it carries no weight the slope can see
+where |u|^2 is below 1e-12 of its peak: a cap taken 12 decades down takes up
+to 4 times the steps (u0 at D=6 on 8192 points, u2 at D = 30 to 3000), with
+every measured slope the same to 3 digits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from typing import TYPE_CHECKING, Callable, Optional, TextIO
 
 from .core import (
@@ -89,12 +87,15 @@ def raman_nath_slope(state: RadialState) -> float:
     Computed as the quadrature of F_Q |u|^2 over the state's support; by
     Ehrenfest's theorem this equals the initial slope of <p_r>(t) whenever
     the profile vanishes fast enough at the origin (all families at D >= 4).
+    F_Q is integrated in units of kappa*eps, where the absolute tolerance holds.
     """
     if state.dim.strength() == 0:
         return 0.0
     _check_inverse_moment(state, 3)
-    raw = state.expectation(partial(centrifugal_force, state.dim, state.params)).value
-    return raw / (state.params.hbar * state.params.kappa)
+    params = state.params
+    unit = params.kappa * params.epsilon()
+    moment = state.expectation(lambda r: centrifugal_force(state.dim, params, r) / unit).value
+    return moment * (params.epsilon() / params.hbar)
 
 
 def raman_nath_slope_closed(state: RadialState) -> float:
@@ -116,6 +117,9 @@ def raman_nath_slope_closed(state: RadialState) -> float:
         except OverflowError:
             raise OverflowError(f"(beta*kappa)^(3/2) of the u2 slope overflows "
                                 f"at beta*kappa={bk:g}") from None
+        if bk_three_halves == 0.0:
+            raise OverflowError(f"(beta*kappa)^(3/2) of the u2 slope underflows to 0 "
+                                f"at beta*kappa={bk:g}; the slope overflows")
         factor = strength / (2.0 * bk_three_halves) * bessel_k_ratio(2.0 * math.sqrt(bk))
     else:
         a = _trap_power(state.family, state.dim)
@@ -132,32 +136,33 @@ def asymptotic_slope_u0u1(dim: HyperDimension, params: PhysicalParams) -> float:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial grid r_j = r_min + j*spacing with Dirichlet walls.
+    """Uniform radial grid r_j = (j + 1) * spacing, j = 0 .. n_points - 1.
 
-    The walls sit one spacing outside both ends, i.e. at r = 0 and at
-    r_max + spacing; r_min is one spacing above the origin as required by
-    the singular centrifugal potential.
+    Its Dirichlet walls sit one spacing outside both ends: at the origin, below
+    r_min as the singular centrifugal potential requires, and above r_max.
     """
 
-    r_min: float
-    r_max: float
     n_points: int
     spacing: float
 
     def __post_init__(self) -> None:
         if self.n_points < 512:
             raise DomainError(f"n_points must be >= 512, got {self.n_points}")
-        if not (0 < self.r_min < self.r_max):
-            raise DomainError("need 0 < r_min < r_max")
-        expected = self.r_min + (self.n_points - 1) * self.spacing
-        if not math.isclose(expected, self.r_max, rel_tol=1e-9):
-            raise DomainError("spacing inconsistent with (r_min, r_max, n_points)")
+        if not 0 < self.spacing < math.inf:  # also rejects NaN
+            raise DomainError(f"spacing must be positive and finite, got {self.spacing}")
+
+    @property
+    def r_min(self) -> float:
+        return self.spacing
+
+    @property
+    def r_max(self) -> float:
+        return self.n_points * self.spacing
 
     @classmethod
     def uniform(cls, r_outer: float, n_points: int = DEFAULT_N_POINTS) -> "RadialGrid":
         """Interior nodes of [0, r_outer] with walls at 0 and r_outer."""
-        h = r_outer / (n_points + 1)
-        return cls(r_min=h, r_max=n_points * h, n_points=n_points, spacing=h)
+        return cls(n_points=n_points, spacing=r_outer / (n_points + 1))
 
     @classmethod
     def for_state(cls, state: RadialState, n_points: int = DEFAULT_N_POINTS) -> "RadialGrid":
@@ -180,9 +185,18 @@ class RadialGrid:
         return self.r_min + self.spacing * np.arange(self.n_points)
 
 
-def _kinetic_time_step(params: PhysicalParams, grid: RadialGrid) -> float:
-    # kinetic phase hbar dt / (2 M h^2) per step across one cell held at 0.1
-    return 0.1 * 2.0 * params.mass * grid.spacing**2 / params.hbar
+def _time_step_caps(state: RadialState, grid: RadialGrid) -> dict[str, float]:
+    # the caps of the default step by name, in the order that names a tie
+    params = state.params
+    caps = {
+        # kinetic phase hbar dt / (2 M h^2) per step across one cell held at 0.1
+        "kinetic": 0.1 * 2.0 * params.mass * grid.spacing**2 / params.hbar,
+        f"fit_window/{MIN_FIT_STEPS}": fit_window(state) / MIN_FIT_STEPS,
+    }
+    if state.dim.strength() != 0:
+        r_edge = max(grid.r_min, state.support(drop_decades=6.0)[0])
+        caps["centrifugal"] = 0.1 * params.hbar / abs(float(v_q(state.dim, params, r_edge)))
+    return caps
 
 
 def default_time_step(state: RadialState, grid: RadialGrid) -> float:
@@ -193,12 +207,7 @@ def default_time_step(state: RadialState, grid: RadialGrid) -> float:
     state's 6-decade support (where the amplitude is 1e-6 of peak), and the
     step at fit_window(state) / MIN_FIT_STEPS, so every D has samples to fit.
     """
-    params = state.params
-    caps = [_kinetic_time_step(params, grid), fit_window(state) / MIN_FIT_STEPS]
-    if state.dim.strength() != 0:
-        r_edge = max(grid.r_min, state.support(drop_decades=6.0)[0])
-        caps.append(0.1 * params.hbar / abs(float(v_q(state.dim, params, r_edge))))
-    return min(caps)
+    return min(_time_step_caps(state, grid).values())
 
 
 def linearity_window(state: RadialState) -> float:
@@ -207,7 +216,8 @@ def linearity_window(state: RadialState) -> float:
     min(0.05 hbar/eps, 0.15 hbar/T): the first bound covers the trap
     states, whose curvature time is hbar/eps; the energy-scaled bound
     takes over for u2, whose stored energy T ~ D^2 eps makes the bend
-    correspondingly earlier.
+    correspondingly earlier.  For u2, T takes 2 eps/(beta kappa)^2 more: at small
+    beta kappa the force F_Q ~ r^-3 at the inner edge r ~ beta bends <p_r> first.
     """
     params = state.params
     t_eps = 0.05 * params.hbar / params.epsilon()
@@ -217,6 +227,8 @@ def linearity_window(state: RadialState) -> float:
         )
     except DomainError:
         return t_eps
+    if state.family is StateFamily.U2:
+        total_eps += 2.0 / params.beta_kappa / params.beta_kappa
     total_abs = abs(total_eps) * params.epsilon()
     if total_abs == 0.0:
         return t_eps
@@ -303,18 +315,13 @@ def _tridiagonal_lapack() -> tuple[Callable, Callable]:
     return flapack.zgttrf, flapack.ztbtrs
 
 
-def _sampled_profile(state: RadialState, grid: RadialGrid) -> np.ndarray:
+def _initial_profile(state: RadialState, r: np.ndarray, h: float) -> tuple[np.ndarray, float]:
+    """The state on the nodes r, normalized on the grid, and its peak |u|^2;
+    PreconditionError when the grid does not contain or resolve it."""
     import numpy as np
 
-    r = grid.points()
     u = np.asarray(state.u(r), dtype=np.complex128)
-    norm = math.sqrt(float(np.sum(np.abs(u) ** 2)) * grid.spacing)
-    return u / norm
-
-
-def _validate_run(u: np.ndarray) -> None:
-    import numpy as np
-
+    u /= math.sqrt(float(np.sum(np.abs(u) ** 2)) * h)
     density = np.abs(u) ** 2
     peak = float(density.max())
     if density[-1] > 1e-24 * peak:  # amplitude 1e-12 of peak
@@ -327,6 +334,7 @@ def _validate_run(u: np.ndarray) -> None:
             "grid under-resolves the state: fewer than 20 points across the "
             "|u|^2 peak at half maximum"
         )
+    return u, peak
 
 
 def propagate_free(
@@ -379,22 +387,16 @@ def propagate_free(
         )
     if grid is None:
         grid = RadialGrid.for_state(state)
-    window = fit_window(state) if dt is None or n_steps is None else math.nan
     if dt is None:
-        dt = default_time_step(state, grid)
-        # min() returns one of the caps unchanged, so equality names the one that bound
-        if dt == _kinetic_time_step(state.params, grid):
-            dt_cap = "kinetic"
-        elif dt == window / MIN_FIT_STEPS:
-            dt_cap = f"fit_window/{MIN_FIT_STEPS}"
-        else:
-            dt_cap = "centrifugal"
+        caps = _time_step_caps(state, grid)
+        dt_cap = min(caps, key=caps.get)
+        dt = caps[dt_cap]
     else:
         dt_cap = "given"
     if not 0 < dt < math.inf:  # also rejects NaN
         raise DomainError(f"dt must be positive and finite, got {dt}")
     if n_steps is None:
-        n_steps = max(int(math.ceil(window / dt)), MIN_FIT_STEPS)
+        n_steps = max(int(math.ceil(fit_window(state) / dt)), MIN_FIT_STEPS)
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     if record_every < 1:
@@ -402,12 +404,8 @@ def propagate_free(
 
     params = state.params
     hbar, mass, kappa = params.hbar, params.mass, params.kappa
-    r = grid.points()
-    h = grid.spacing
-    n = grid.n_points
-
-    u = _sampled_profile(state, grid)
-    _validate_run(u)
+    r, h, n = grid.points(), grid.spacing, grid.n_points
+    u, peak_density = _initial_profile(state, r, h)
 
     kinetic = hbar**2 / (2.0 * mass * h**2)
     potential = np.asarray(v_q(state.dim, params, r), dtype=float)
@@ -448,7 +446,6 @@ def propagate_free(
     times = [0.0]
     momenta = [p_r_mean(u)]
     norms = [norm_of(u)]
-    peak_density = float(np.abs(u).max()) ** 2
 
     y = np.empty_like(u)
     for step in range(1, n_steps + 1):

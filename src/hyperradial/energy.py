@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING
 
 from .core import DivergentIntegralError, DomainError, HyperDimension, PhysicalParams
@@ -92,14 +91,17 @@ def _check_inverse_moment(state: RadialState, power: int) -> None:
 
 
 def t_r_quadrature(state: RadialState) -> float:
-    """T_r by adaptive quadrature of -u u'' (analytic u''), in units of epsilon."""
+    """T_r by adaptive quadrature of -u u'' (analytic u''), in units of epsilon.
+
+    The weight is integrated in units of epsilon, where the absolute tolerance holds.
+    """
     _check_inverse_moment(state, 2)
-    prefactor = state.params.hbar**2 / (2.0 * state.params.mass)
+    prefactor = state.params.hbar**2 / (2.0 * state.params.mass) / state.params.epsilon()
 
     def weight(r: np.ndarray) -> np.ndarray:
         return -prefactor * state.u_second_over_u(r)
 
-    return state.expectation(weight).value / state.params.epsilon()
+    return state.expectation(weight).value
 
 
 def t_v_quadrature(state: RadialState) -> float:
@@ -110,8 +112,8 @@ def t_v_quadrature(state: RadialState) -> float:
     if state.dim.strength() == 0:
         return 0.0
     _check_inverse_moment(state, 2)
-    t_v = state.expectation(partial(v_q, state.dim, state.params)).value
-    return t_v / state.params.epsilon()
+    eps = state.params.epsilon()
+    return state.expectation(lambda r: v_q(state.dim, state.params, r) / eps).value
 
 
 @dataclass(frozen=True)

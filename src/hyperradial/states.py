@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Union
 
-from .core import DomainError, HyperDimension, PhysicalParams, _require_positive
+from .core import DomainError, HyperDimension, PhysicalParams, QuadratureError, _require_positive
 from .quadrature import QuadResult, integrate_radial
 from .specialfn import _scaled_bessel_k, log_gamma
 
@@ -289,10 +289,19 @@ class RadialState:
         return r_lo, r_hi
 
     def expectation(self, weight: Callable[[np.ndarray], ArrayLike] | None = None) -> QuadResult:
-        """Quadrature of int weight(r) |u|^2 dr over the support window (weight 1 if None)."""
+        """Quadrature of int weight(r) |u|^2 dr over the support window (weight 1 if None).
+
+        Raises QuadratureError when the window rounds to zero width in s = ln r,
+        where the integral would come out as an exact 0.
+        """
         import numpy as np
 
         r_lo, r_hi = self.support()
+        if not math.log(r_lo) < math.log(r_hi):
+            raise QuadratureError(
+                f"the support window r in [{r_lo:.6g}, {r_hi:.6g}] of {self.family.value} at "
+                f"D={self.dim.d}, beta*kappa={self.params.beta_kappa:g} has no width in s = ln r"
+            )
 
         def integrand(r: np.ndarray) -> np.ndarray:
             density = np.exp(2.0 * np.asarray(self.log_u(r)))

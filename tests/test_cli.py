@@ -115,6 +115,21 @@ class TestInvalidScales:
         assert "on [-695.136, 4.36039]" in err, err
         assert "r in [1.28e-302, 78.3]" in err, err
 
+    def test_empty_support_window_is_numerical_failure(self, capsys):
+        code = main(["energies", "--family", "u2", "--D", "6", "--beta-kappa", "1e300"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the support window r in [1e+150, 1e+150]"), err
+        assert "beta*kappa=1e+300" in err, err
+
+    def test_u2_slope_underflow_names_quantity_and_parameter(self, capsys):
+        argv = ["scaling", "--quantity", "slope", "--family", "u2", "--N", "2:20",
+                "--beta-kappa", "1e-300"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: (beta*kappa)^(3/2) of the u2 slope underflows"), err
+        assert "beta*kappa=1e-300" in err, err
+
     @pytest.mark.parametrize("key", ["kappa", "beta_kappa"])
     def test_null_in_config(self, key, tmp_path, capsys):
         config = tmp_path / "run.json"

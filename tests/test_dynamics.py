@@ -185,9 +185,21 @@ class TestRadialGrid:
         with pytest.raises(DomainError):
             RadialGrid.uniform(10.0, 511)
 
-    def test_inconsistent_spacing_rejected(self):
-        with pytest.raises(DomainError):
-            RadialGrid(r_min=0.1, r_max=10.0, n_points=1000, spacing=0.5)
+    def test_only_n_points_and_spacing_are_fields(self):
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(RadialGrid)] == ["n_points", "spacing"]
+        grid = RadialGrid(n_points=4096, spacing=0.004)
+        assert grid.r_min == grid.spacing
+        assert grid.r_max == 4096 * grid.spacing
+        assert grid.points()[0] == grid.spacing
+        with pytest.raises(TypeError):  # a grid whose inner wall is off the origin
+            RadialGrid(r_min=1.0, r_max=17.38, n_points=4096, spacing=0.004)
+
+    @pytest.mark.parametrize("spacing", [0.0, -0.01, math.inf, math.nan])
+    def test_spacing_must_be_positive_and_finite(self, spacing):
+        with pytest.raises(DomainError, match="spacing"):
+            RadialGrid(n_points=1024, spacing=spacing)
 
     def test_for_state_trap_margin(self, params):
         state = make_state(U0, 6, params)
@@ -232,6 +244,27 @@ class TestRadialGrid:
         result = propagate_free(state, RadialGrid.for_state(state, 1024), n_steps=1)
         assert result.dt_cap == "centrifugal"
         assert propagate_free(state, result.grid, dt=result.dt, n_steps=1).dt_cap == "given"
+
+    def test_caps_are_named_in_table_order(self, params):
+        from hyperradial.dynamics import _time_step_caps
+
+        state = make_state(U2, 30, params)
+        caps = _time_step_caps(state, RadialGrid.for_state(state, 1024))
+        assert list(caps) == ["kinetic", "fit_window/16", "centrifugal"]
+
+    @pytest.mark.parametrize("values, dt_cap", [
+        ((1e-4, 1e-4, 2e-4), "kinetic"),
+        ((2e-4, 1e-4, 1e-4), "fit_window/16"),
+        ((2e-4, 2e-4, 1e-4), "centrifugal"),
+    ])
+    def test_tied_caps_name_the_first_in_table_order(self, values, dt_cap, params, monkeypatch):
+        from hyperradial import dynamics
+
+        names = ("kinetic", "fit_window/16", "centrifugal")
+        monkeypatch.setattr(dynamics, "_time_step_caps", lambda state, grid: dict(zip(names, values)))
+        state = make_state(U2, 30, params)
+        result = propagate_free(state, RadialGrid.for_state(state, 1024), n_steps=1)
+        assert (result.dt_cap, result.dt) == (dt_cap, min(values))
 
     def test_u2_d30_default_run_is_short_and_on_slope(self, params):
         state = make_state(U2, 30, params)
@@ -342,6 +375,14 @@ class TestPropagation:
         result = propagate_free(state, RadialGrid.for_state(state, 2048))
         measured = result.measured_slope(fit_window(state))
         assert measured == pytest.approx(raman_nath_slope(state), rel=1e-2)
+
+    def test_u2_small_beta_kappa_window(self):
+        # at beta*kappa = 0.25 the signal comes from the inner edge r ~ beta, where
+        # F_Q ~ r^-3 bends <p_r> long before hbar/T; a window sized by T alone read +17%
+        state = make_state(U2, 4, PhysicalParams(beta=0.25))
+        result = propagate_free(state, RadialGrid.for_state(state, 8192))
+        measured = result.measured_slope(fit_window(state))
+        assert measured == pytest.approx(raman_nath_slope_closed(state), rel=1e-2)
 
     @pytest.mark.parametrize("family, d", [(U0, 1200), (U1, 700)])
     def test_default_step_leaves_room_for_the_fit_at_large_d(self, family, d):

@@ -245,3 +245,22 @@ class TestLaplacianIdentity:
             t_r_closed(family, state.dim, params) + t_v_closed(family, state.dim, params)
         ) * params.epsilon()
         assert total_abs == pytest.approx(expected, rel=1e-6)
+
+
+SI = dict(hbar=1.054571817e-34, mass=1.44e-25, kappa=1e6)  # a heavy atom in a micron-sized trap
+
+
+class TestQuadratureUnits:
+    """The quadrature routes hold away from hbar = M = kappa = 1, where the
+    integrals in absolute units fall below the absolute tolerance."""
+
+    @pytest.mark.parametrize("scale", [SI, dict(kappa=1e-10)], ids=["SI", "kappa_1e-10"])
+    @pytest.mark.parametrize("family, d", [(U0, 30), (U1, 9), (U2, 30)])
+    def test_matches_closed_forms(self, family, d, scale):
+        from hyperradial import raman_nath_slope, raman_nath_slope_closed
+
+        params = PhysicalParams(beta=1.0 / scale["kappa"], **scale)
+        state = RadialState(family=family, dim=HyperDimension(d), params=params)
+        assert t_r_quadrature(state) == pytest.approx(t_r_closed(family, state.dim, params), rel=1e-8)
+        assert t_v_quadrature(state) == pytest.approx(t_v_closed(family, state.dim, params), rel=1e-8)
+        assert raman_nath_slope(state) == pytest.approx(raman_nath_slope_closed(state), rel=1e-8)

@@ -11,6 +11,7 @@ from hyperradial import (
     DomainError,
     HyperDimension,
     PhysicalParams,
+    QuadratureError,
     RadialState,
     StateFamily,
     eigen_potential_v2,
@@ -270,6 +271,15 @@ class TestSupportWindow:
         state = make_state(family, 6)
         with pytest.raises(DomainError, match="drop_decades"):
             state.support(drop)
+
+    def test_window_without_width_is_an_error(self):
+        # at beta*kappa = 1e300 both edges round to sqrt(beta/kappa) = 1e150; an empty
+        # window would integrate to an exact 0 and report a norm of 0
+        state = RadialState(family=StateFamily.U2, dim=HyperDimension(6),
+                            params=PhysicalParams(beta=1e300))
+        assert state.support() == (1e150, 1e150)
+        with pytest.raises(QuadratureError, match=r"r in \[1e\+150, 1e\+150\].*beta\*kappa=1e\+300"):
+            state.normalization_integral()
 
 
 class TestLambertW:
