@@ -27,7 +27,9 @@ unit-diagonal bidiagonal solves in place (LAPACK ztbtrs), with no pivot test
 or division per row.  The observables are one vdot each: the norm is
 h * <u, u>, and with zero walls the central-difference <p_r> is
 hbar Im sum conj(u_j) u_(j+1), which is exactly zero for a real profile.
-Both routines are loaded once per process by _tridiagonal_lapack.
+Both routines are loaded once per process by _tridiagonal_lapack, straight
+from scipy's _flapack extension: neither the scipy package nor scipy.linalg
+is imported.
 
 The grid is n_points nodes r_j = (j + 1) h between Dirichlet walls at the
 origin and at (n_points + 1) h, so the profile has to vanish at the origin:
@@ -121,6 +123,9 @@ def raman_nath_slope_closed(state: RadialState) -> float:
             raise OverflowError(f"(beta*kappa)^(3/2) of the u2 slope underflows to 0 "
                                 f"at beta*kappa={bk:g}; the slope overflows")
         factor = strength / (2.0 * bk_three_halves) * bessel_k_ratio(2.0 * math.sqrt(bk))
+        if not math.isfinite(factor):  # float * and / return inf where ** raises
+            raise OverflowError(f"s / (2 (beta*kappa)^(3/2)) * K2/K1 of the u2 slope "
+                                f"overflows at beta*kappa={bk:g}")
     else:
         a = _trap_power(state.family, state.dim)
         factor = strength / (2.0 * (a - 1.0)) * gamma_ratio(a, a + 0.5)
@@ -294,18 +299,20 @@ def _tridiagonal_lapack() -> tuple[Callable, Callable]:
     zgttrf LU-factors the Crank-Nicolson matrix once; ztbtrs makes the two
     unit-diagonal bidiagonal solves of each step.  Loading the extension
     directly skips scipy/linalg/__init__.py, whose imports cost about 0.3 s
-    and 26 MB per process.  CPython caches an extension module per file and
-    name, so these are the same objects that
+    and 26 MB per process, and locating the scipy package with find_spec
+    skips scipy/__init__.py (about 15 ms).  CPython caches an extension
+    module per file and name, so these are the same objects that
     scipy.linalg.get_lapack_funcs(("gttrf", "tbtrs")) returns for complex128.
     """
     import os
     from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-    from importlib.util import module_from_spec
-
-    import scipy
+    from importlib.util import find_spec, module_from_spec
 
     name = "scipy.linalg._flapack"
-    finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"),
+    scipy_spec = find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("scipy not found", name="scipy")
+    finder = FileFinder(os.path.join(scipy_spec.submodule_search_locations[0], "linalg"),
                         (ExtensionFileLoader, EXTENSION_SUFFIXES))
     spec = finder.find_spec(name)
     if spec is None:
@@ -321,7 +328,15 @@ def _initial_profile(state: RadialState, r: np.ndarray, h: float) -> tuple[np.nd
     import numpy as np
 
     u = np.asarray(state.u(r), dtype=np.complex128)
-    u /= math.sqrt(float(np.sum(np.abs(u) ** 2)) * h)
+    norm_sum = float(np.sum(np.abs(u) ** 2))
+    if not 0 < norm_sum < math.inf:
+        raise PreconditionError(
+            f"the {state.family.value} profile at D={state.dim.d}, "
+            f"beta*kappa={state.params.beta_kappa:g} "
+            f"{'underflows' if norm_sum == 0 else 'overflows'} on the grid: "
+            f"|u|^2 sums to {norm_sum:g} over its {r.size} nodes"
+        )
+    u /= math.sqrt(norm_sum * h)
     density = np.abs(u) ** 2
     peak = float(density.max())
     if density[-1] > 1e-24 * peak:  # amplitude 1e-12 of peak
@@ -512,11 +527,14 @@ def short_time_phase_state(state: RadialState, t: float, r: ArrayLike) -> np.nda
 
     A pure phase: |u(r, t)| = |u(r, 0)| exactly.  Points where the initial
     amplitude is below 1e-12 of peak are returned as zero (W is undefined
-    where u vanishes).  Requires |[W + V_Q] t / hbar| <= 0.5 at the peak.
+    where u vanishes).  Requires a finite t with |[W + V_Q] t / hbar| <= 0.5
+    at the peak.
     """
     import numpy as np
 
     arr = _as_positive_radius(r)
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
     params = state.params
     r_peak = state.peak_radius()
     if r_peak == 0.0:

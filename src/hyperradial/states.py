@@ -142,7 +142,8 @@ def _as_positive_radius(r: ArrayLike) -> np.ndarray:
     arr = np.asarray(r, dtype=float)
     if arr.size == 0:
         raise DomainError("empty radius array")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+    # one min and one max pass: NaN propagates through both and fails either test
+    if not (arr.min() > 0 and arr.max() < math.inf):
         raise DomainError("radius must be finite and strictly positive")
     return arr
 

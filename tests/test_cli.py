@@ -77,6 +77,7 @@ class TestInvalidScales:
         ["energies", "--family", "u2", "--D", "6", "--kappa", "1e200"],
         ["energies", "--family", "u2", "--D", "6", "--beta-kappa", "1e-320"],
         ["scaling", "--quantity", "slope", "--family", "u2", "--N", "2:20", "--beta-kappa", "1e300"],
+        ["scaling", "--quantity", "slope", "--family", "u2", "--N", "2:20", "--beta-kappa", "1e-200"],
     ])
     def test_overflow_is_numerical_failure(self, argv, capsys):
         assert main(argv) == 3
@@ -91,6 +92,8 @@ class TestInvalidScales:
          "cut-off of the Bessel K_1 sum", "beta*kappa too small"),
         (["scaling", "--quantity", "slope", "--family", "u2", "--N", "2:20", "--beta-kappa", "1e300"],
          "(beta*kappa)^(3/2) of the u2 slope", "beta*kappa=1e+300"),
+        (["scaling", "--quantity", "slope", "--family", "u2", "--N", "2:20", "--beta-kappa", "1e-200"],
+         "K2/K1 of the u2 slope overflows", "beta*kappa=1e-200"),
     ])
     def test_overflow_names_quantity_and_parameter(self, argv, quantity, parameter, capsys):
         assert main(argv) == 3
@@ -293,6 +296,15 @@ class TestPropagateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: u0 at D=1 does not vanish at the origin")
+
+    def test_profile_underflowing_on_the_grid_rejected(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["propagate", "--family", "u2", "--D", "6", "--beta-kappa", "1e100",
+                         "--n-points", "1024"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the u2 profile at D=6, beta*kappa=1e+100 underflows"), err
 
     def test_reflection_is_numerical_failure(self, capsys):
         code = main(

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Context, Decimal
 from fractions import Fraction
 
@@ -126,6 +127,12 @@ class TestRamanNathSlope:
         state = make_state(family, d, params)
         assert raman_nath_slope(state) == 0.0
         assert raman_nath_slope_closed(state) == 0.0
+
+    def test_u2_slope_overflow_names_beta_kappa(self):
+        # (beta*kappa)^(3/2) = 1e-300 is representable; s / (2e-300) * K2/K1 ~ 1e100 is not
+        state = make_state(U2, 6, PhysicalParams(kappa=1.0, beta=1e-200))
+        with pytest.raises(OverflowError, match=r"u2 slope overflows at beta\*kappa=1e-200"):
+            raman_nath_slope_closed(state)
 
     def test_u0_d2_diverges(self, params):
         state = make_state(U0, 2, params)
@@ -334,6 +341,12 @@ class TestShortTimePhaseState:
         values = short_time_phase_state(state, 1e-4, np.array([1e-4, 1.0]))
         assert values[0] == 0.0 and values[1] != 0.0
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t, params):
+        state = make_state(U0, 6, params)
+        with pytest.raises(DomainError, match="t must be finite"):
+            short_time_phase_state(state, t, np.array([1.0]))
+
     def test_precondition_on_large_time(self, params):
         state = make_state(U2, 30, params)
         with pytest.raises(PreconditionError):
@@ -464,6 +477,15 @@ class TestPropagation:
         state = make_state(U0, 1, params)
         with pytest.raises(PreconditionError, match="does not vanish at the origin"):
             propagate_free(state, RadialGrid.for_state(state, 1024))
+
+    def test_profile_underflowing_on_every_node_rejected(self):
+        # at beta*kappa = 1e100 |u|^2 underflows to 0 on every node of the default grid
+        state = make_state(U2, 6, PhysicalParams(kappa=1.0, beta=1e100))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError,
+                               match=r"u2 profile at D=6, beta\*kappa=1e\+100 underflows on the grid"):
+                propagate_free(state, RadialGrid.for_state(state, 1024))
 
     def test_row_interchange_in_the_factorization_raises(self, params, monkeypatch):
         from hyperradial import dynamics

@@ -14,11 +14,14 @@ from hyperradial import (
     QuadratureError,
     RadialState,
     StateFamily,
+    bohm_quantum_potential,
+    centrifugal_force,
     eigen_potential_v2,
     gamma,
     log_solid_angle,
     make_state,
     norm_constant,
+    short_time_phase_state,
     solid_angle,
     u2_eigenstate_residual,
     unit_sphere_volume,
@@ -27,6 +30,29 @@ from hyperradial import (
 from hyperradial.states import _lambert_w
 
 ALL_FAMILIES = [StateFamily.U0, StateFamily.U1, StateFamily.U2]
+
+
+def radial_functions(params: PhysicalParams) -> dict:
+    """The twelve public functions of a radius, each taking r alone."""
+    state = make_state(StateFamily.U0, 6, params)
+    return {
+        "log_u": state.log_u,
+        "u": state.u,
+        "d_log_u": state.d_log_u,
+        "u_second_over_u": state.u_second_over_u,
+        "log_abs_psi": state.log_abs_psi,
+        "psi": state.psi,
+        "v_q": lambda r: v_q(state.dim, params, r),
+        "centrifugal_force": lambda r: centrifugal_force(state.dim, params, r),
+        "eigen_potential_v2": lambda r: eigen_potential_v2(params, r),
+        "bohm_quantum_potential": lambda r: bohm_quantum_potential(state, r),
+        "short_time_phase_state": lambda r: short_time_phase_state(state, 0.0, r),
+        "u2_eigenstate_residual": lambda r: u2_eigenstate_residual(params, r),
+    }
+
+
+def _middle(bad: float):
+    return pytest.param(np.array([0.5, 1.0, bad, 1.5, 2.0]), id=f"middle-{bad}")
 
 
 class TestGeometry:
@@ -194,12 +220,32 @@ class TestEvaluation:
             assert np.all(np.isfinite(np.asarray(state.u(r))))
             assert np.all(np.isfinite(np.asarray(state.psi(r))))
 
-    @pytest.mark.parametrize("bad_r", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("bad_r", [
+        0.0, -1.0, float("nan"), math.inf, -math.inf,
+        _middle(float("nan")), _middle(math.inf), _middle(0.0), _middle(-1.0),
+        pytest.param(np.array([]), id="empty"),
+    ])
     def test_radius_domain(self, bad_r, params):
-        state = make_state(StateFamily.U0, 6, params)
-        for method in (state.u, state.log_u, state.psi, state.u_second_over_u):
-            with pytest.raises(DomainError):
-                method(bad_r)
+        for name, function in radial_functions(params).items():
+            with pytest.raises(DomainError, match="radius"):
+                function(bad_r)
+                pytest.fail(f"{name} accepted r = {bad_r!r}")
+
+    @pytest.mark.parametrize("r, shape", [
+        (1.5, None),
+        (np.array(1.5), None),
+        ([1.0, 1.5, 2.0], (3,)),
+        (np.array([1.0, 1.5, 2.0]), (3,)),
+    ], ids=["float", "0-d", "list", "ndarray"])
+    def test_radius_return_kind(self, r, shape, params):
+        for name, function in radial_functions(params).items():
+            out = function(r)
+            if name == "u2_eigenstate_residual":  # one figure over all the radii
+                assert type(out) is float, name
+            elif shape is None:
+                assert np.isscalar(out), (name, type(out))
+            else:
+                assert isinstance(out, np.ndarray) and out.shape == shape, (name, type(out))
 
     def test_curvature_matches_finite_differences(self, params):
         # u'' has zeros, so compare on an absolute scale set by the largest
