@@ -8,7 +8,8 @@ Subcommands map one-to-one onto the module API:
     verify     oracle-equivalence suite (normalization, energies, eigenstate, bessel)
     recipe     named preset runs reproducing the headline results
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 numerical
+Exit codes: 0 success, also when the reader closes stdout early (the output
+ends with no message), 1 verification failure, 2 invalid input, 3 numerical
 failure.  All floating-point output uses 12 significant digits and fixed
 quadrature node order, so identical configurations produce byte-identical
 files.
@@ -20,6 +21,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,6 +112,7 @@ def _output_stream(path: Optional[str]) -> Iterator[TextIO]:
     """Yield stdout for no path or '-', else the opened file, closed on exit."""
     if path is None or path == "-":
         yield sys.stdout
+        sys.stdout.flush()  # a closed pipe raises here, before any summary on stderr
         return
     try:
         stream = open(path, "w", encoding="utf-8")
@@ -260,7 +263,7 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
         },
         "dt": result.dt,
         "dt_cap": result.dt_cap,
-        "n_steps": len(result.times) - 1,
+        "n_steps": round(result.times[-1] / result.dt),
         "record_every": args.record_every,
     }
     with _output_stream(args.output) as stream:
@@ -496,7 +499,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if getattr(args, "config", None):
             _apply_config(args, args._parser._actions, argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader ended the output; devnull takes what is left, so the
+        # interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (DomainError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -4,6 +4,14 @@ Natural units hbar = M = kappa = 1 are the defaults throughout.  Energies
 are reported in units of the kinetic scale epsilon = (hbar*kappa)^2/(2M)
 and momenta in units of hbar*kappa.  The length beta enters every formula
 only through the dimensionless product beta*kappa.
+
+Input contract: every count (dimension, particle number, grid size, step
+count or stride, subdivisions, Bessel order) passes `_require_integer` and
+every positive parameter `_require_positive`, so a value outside its domain
+raises DomainError naming it and is never quietly replaced.  A count is a
+numbers.Integral, numpy integers included (2.5 and 1024.0 are not); a
+positive number is a finite Python int or float above 0, np.float64
+included.  A bool is neither.
 """
 
 from __future__ import annotations
@@ -47,8 +55,15 @@ class PropagationAborted(HyperradialError):
 
 def _require_positive(name: str, value) -> None:
     ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not ok or not math.isfinite(value) or value <= 0:
-        raise DomainError(f"{name} must be a finite positive number, got {value!r}")
+    if not ok or not 0 < value < math.inf:  # also rejects NaN
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _require_integer(name: str, value, minimum: int) -> int:
+    """value as an int, if it is an Integral (never bool) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -89,10 +104,7 @@ class HyperDimension:
     d: int
 
     def __post_init__(self) -> None:
-        d = self.d
-        if isinstance(d, bool) or not isinstance(d, Integral) or d < 1:
-            raise DomainError(f"dimension must be an integer >= 1, got {d!r}")
-        object.__setattr__(self, "d", int(d))
+        object.__setattr__(self, "d", _require_integer("dimension", self.d, 1))
 
     def strength(self) -> int:
         """Strength (D-1)(D-3) of the quantum centrifugal potential.
@@ -123,10 +135,9 @@ class Tolerance:
     max_subdivisions: int = 12
 
     def __post_init__(self) -> None:
-        if not (self.rel > 0 and self.abs > 0):
-            raise DomainError("tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
+        _require_positive("rel", self.rel)
+        _require_positive("abs", self.abs)
+        _require_integer("max_subdivisions", self.max_subdivisions, 1)
 
 
 DEFAULT_TOLERANCE = Tolerance()

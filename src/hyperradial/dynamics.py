@@ -61,6 +61,8 @@ from .core import (
     PreconditionError,
     PropagationAborted,
     PropagationError,
+    _require_integer,
+    _require_positive,
 )
 from .energy import _check_inverse_moment, t_r_closed, t_v_closed, v_q
 from .specialfn import bessel_k_ratio, gamma_ratio
@@ -151,10 +153,8 @@ class RadialGrid:
     spacing: float
 
     def __post_init__(self) -> None:
-        if self.n_points < 512:
-            raise DomainError(f"n_points must be >= 512, got {self.n_points}")
-        if not 0 < self.spacing < math.inf:  # also rejects NaN
-            raise DomainError(f"spacing must be positive and finite, got {self.spacing}")
+        object.__setattr__(self, "n_points", _require_integer("n_points", self.n_points, 512))
+        _require_positive("spacing", self.spacing)
 
     @property
     def r_min(self) -> float:
@@ -408,14 +408,12 @@ def propagate_free(
         dt = caps[dt_cap]
     else:
         dt_cap = "given"
-    if not 0 < dt < math.inf:  # also rejects NaN
-        raise DomainError(f"dt must be positive and finite, got {dt}")
+    _require_positive("dt", dt)
     if n_steps is None:
         n_steps = max(int(math.ceil(fit_window(state) / dt)), MIN_FIT_STEPS)
-    if n_steps < 1:
-        raise DomainError(f"n_steps must be >= 1, got {n_steps}")
-    if record_every < 1:
-        raise DomainError(f"record_every must be >= 1, got {record_every}")
+    _require_integer("n_steps", n_steps, 1)
+    _require_integer("record_every", record_every, 1)
+    _require_integer("progress_every", progress_every, 1)
 
     params = state.params
     hbar, mass, kappa = params.hbar, params.mass, params.kappa
@@ -516,9 +514,8 @@ def bohm_quantum_potential(state: RadialState, r: ArrayLike) -> ArrayLike:
     """
     import numpy as np
 
-    arr = _as_positive_radius(r)
     prefactor = state.params.hbar**2 / (2.0 * state.params.mass)
-    out = -prefactor * np.asarray(state.u_second_over_u(arr))
+    out = -prefactor * np.asarray(state.u_second_over_u(r))
     return _scalar_like(r, out)
 
 

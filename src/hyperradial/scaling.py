@@ -15,10 +15,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, TextIO
 
-from .core import DomainError, HyperDimension, PhysicalParams
+from .core import DomainError, HyperDimension, PhysicalParams, _require_integer
 from .dynamics import raman_nath_slope_closed
 from .energy import t_r_closed, t_v_closed
 from .states import RadialState, StateFamily
@@ -159,19 +158,10 @@ def fermion_trap_energy(n: int, params: PhysicalParams) -> FermionTrapEnergy:
     are returned and are identical (the partial sums are exact in binary
     floating point for any practical N).
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"particle count must be an integer >= 1, got {n!r}")
+    n = _require_integer("particle count", n, 1)
     quantum = params.hbar * params.omega
     ladder = math.fsum(j + 0.5 for j in range(n))
     return FermionTrapEnergy(summed=ladder * quantum, closed=(0.5 * n * n) * quantum)
-
-
-def _check_n_values(n_values: Iterable[int], minimum: int) -> list[int]:
-    ns = list(n_values)
-    for n in ns:
-        if not isinstance(n, Integral) or isinstance(n, bool) or n < minimum:
-            raise DomainError(f"N values must be integers >= {minimum}, got {n!r}")
-    return [int(n) for n in ns]
 
 
 def energy_scaling_table(
@@ -189,7 +179,7 @@ def energy_scaling_table(
     """
     if component not in ("total", "t_r", "t_v"):
         raise DomainError(f"unknown energy component {component!r}")
-    ns = _check_n_values(n_values, minimum=2)
+    ns = [_require_integer("N", n, 2) for n in n_values]
     values = []
     for n in ns:
         dim = HyperDimension(3 * n)
@@ -209,7 +199,7 @@ def slope_scaling_table(
 
     Expect ~0.5 for u0/u1 at large N and ~2 for u2.  `jobs` has no effect.
     """
-    ns = _check_n_values(n_values, minimum=2)
+    ns = [_require_integer("N", n, 2) for n in n_values]
     values = [raman_nath_slope_closed(RadialState(family, HyperDimension(3 * n), params))
               for n in ns]
     return _build_table(ns, values, units="hbar*kappa/time", quantity="slope", family=family)
@@ -223,6 +213,6 @@ def fermion_scaling_table(
     Every value is an exact power of N, so the fitted exponent is 2 within a
     few ulps and its error is round-off (below 1e-15).  `jobs` has no effect.
     """
-    ns = _check_n_values(n_values, minimum=1)
+    ns = [_require_integer("N", n, 1) for n in n_values]
     values = [fermion_trap_energy(n, params).closed for n in ns]
     return _build_table(ns, values, units="hbar*omega", quantity="fermion", family=None)

@@ -23,9 +23,8 @@ The two must agree to 1e-9 relative over z in [0.1, 50] and n in {0, 1, 2}.
 from __future__ import annotations
 
 import math
-from numbers import Integral
 
-from .core import DomainError, PreconditionError, Tolerance
+from .core import DomainError, PreconditionError, Tolerance, _require_integer, _require_positive
 from .quadrature import integrate
 
 # Tolerance of the defining-integral reference, tighter than DEFAULT_TOLERANCE:
@@ -95,16 +94,6 @@ def gamma_ratio_asymptotic(a: float, z: float, b1: float, b2: float) -> float:
     return az ** (b1 - b2)
 
 
-def _check_order(n: int) -> None:
-    if not isinstance(n, Integral) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"Bessel order must be a non-negative integer, got {n!r}")
-
-
-def _check_argument(zeta: float) -> None:
-    if not (math.isfinite(zeta) and zeta > 0):
-        raise DomainError(f"Bessel argument must be positive and finite, got {zeta!r}")
-
-
 def _scaled_bessel_k(n: int, x: float) -> float:
     """e^x K_n(x) for x > 0 by the trapezoid rule on its scaled integral.
 
@@ -137,8 +126,8 @@ def _scaled_bessel_k(n: int, x: float) -> float:
 
 def bessel_k(n: int, zeta: float) -> float:
     """Modified Bessel function K_n(zeta) of the second kind, integer order."""
-    _check_order(n)
-    _check_argument(zeta)
+    _require_integer("Bessel order", n, 0)
+    _require_positive("Bessel argument", zeta)
     return math.exp(-zeta) * _scaled_bessel_k(n, zeta)
 
 
@@ -149,7 +138,7 @@ def bessel_k_ratio(zeta: float) -> float:
     is the log-space evaluation needed once zeta is large enough (> ~700)
     for K_n itself to underflow; the scaling cancels exactly in the ratio.
     """
-    _check_argument(zeta)
+    _require_positive("Bessel argument", zeta)
     return _scaled_bessel_k(2, zeta) / _scaled_bessel_k(1, zeta)
 
 
@@ -167,8 +156,8 @@ def bessel_k_integral(n: int, zeta: float) -> float:
     shares neither its rule nor its integrand with the trapezoid sum behind
     :func:`bessel_k`, to REFERENCE_TOLERANCE.
     """
-    _check_order(n)
-    _check_argument(zeta)
+    _require_integer("Bessel order", n, 0)
+    _require_positive("Bessel argument", zeta)
     if zeta >= 750.0:
         return 0.0  # true value below the double-precision underflow threshold
     t_max = math.acosh(max(750.0 / zeta, 2.0))

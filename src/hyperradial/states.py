@@ -199,7 +199,7 @@ class RadialState:
         """Radial profile u(r)."""
         import numpy as np
 
-        return _scalar_like(r, np.exp(self.log_u(_as_positive_radius(r))))
+        return _scalar_like(r, np.exp(self.log_u(r)))
 
     def d_log_u(self, r: ArrayLike) -> ArrayLike:
         """Logarithmic derivative u'(r)/u(r)."""
@@ -234,11 +234,11 @@ class RadialState:
         """ln |Psi(r)| of the full D-dimensional wave function."""
         import numpy as np
 
-        arr = _as_positive_radius(r)
+        log_u = self.log_u(r)  # the radius gate; r is known good below
         out = (
-            np.asarray(self.log_u(arr))
+            np.asarray(log_u)
             - 0.5 * log_solid_angle(self.dim)
-            - 0.5 * (self.dim.d - 1) * np.log(arr)
+            - 0.5 * (self.dim.d - 1) * np.log(np.asarray(r, dtype=float))
         )
         return _scalar_like(r, out)
 
@@ -274,8 +274,7 @@ class RadialState:
         `_lambert_w`, which takes the exponent -1 - 2 drop/a rather than z.
         The drop must be positive and finite.
         """
-        if not 0 < drop_decades < math.inf:  # also rejects NaN
-            raise DomainError(f"drop_decades must be positive and finite, got {drop_decades!r}")
+        _require_positive("drop_decades", drop_decades)
         drop = drop_decades * math.log(10.0)
         kappa = self.params.kappa
         if self.family is StateFamily.U2:

@@ -209,6 +209,15 @@ class TestPropagateCommand:
         err = capsys.readouterr().err
         assert "measured_slope=" in err and "ratio=" in err
 
+    def test_n_steps_counts_steps_not_samples(self, tmp_path, capsys):
+        argv = ["propagate", "--family", "u0", "--D", "6", "--n-points", "1024",
+                "--n-steps", "100", "--record-every", "10"]
+        assert main([*argv, "--output", str(tmp_path / "run.csv")]) == 0
+        assert main([*argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        sidecar = json.loads((tmp_path / "run.config.json").read_text())
+        assert (sidecar["n_steps"], payload["n_steps"], len(payload["series"]["t"])) == (100, 100, 11)
+
     def test_deterministic_output(self, tmp_path, capsys):
         texts = []
         for name in ("a.csv", "b.csv"):
@@ -338,6 +347,26 @@ class TestVerifyCommand:
     def test_nan_deviation_fails(self, capsys):
         assert main(["verify", "--only", "normalization", "--perturb-norm", "nan"]) == 1
         assert "FAIL normalization: max |norm - 1| = nan" in capsys.readouterr().out
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("argv, unbuffered", [
+        (["scaling", "--quantity", "slope", "--family", "u2", "--N", "2:20", "--beta-kappa", "1e-150"], ""),
+        (["scaling", "--quantity", "slope", "--family", "u2", "--N", "2:20", "--beta-kappa", "1e-150"], "1"),
+        (["verify", "--only", "eigenstate"], ""),
+    ], ids=["table-buffered", "table-unbuffered", "print-buffered"])
+    def test_reader_gone_before_output_ends_quietly(self, argv, unbuffered):
+        # the read end is closed before the child starts, so its first write or flush breaks
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(hyperradial.__file__).parents[1]),
+                   PYTHONUNBUFFERED=unbuffered)
+        try:
+            child = subprocess.run([sys.executable, "-m", "hyperradial.cli", *argv], env=env,
+                                   stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (cli.EXIT_OK, b"")
 
 
 class TestSerialPath:

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +11,16 @@ from hyperradial import (
     DomainError,
     HyperDimension,
     PhysicalParams,
+    RadialGrid,
     Tolerance,
+    bessel_k,
+    bessel_k_integral,
+    bessel_k_ratio,
     epsilon,
+    fermion_scaling_table,
+    fermion_trap_energy,
+    make_state,
+    propagate_free,
     strength,
 )
 
@@ -100,3 +110,60 @@ class TestTolerance:
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             Tolerance(**kwargs)
+
+
+def _propagate(**kwargs):
+    state = make_state("u0", 6)
+    grid = RadialGrid.for_state(state, 512)
+    run = {"dt": 0.01, "n_steps": 3, "record_every": 1, "progress_every": 1, **kwargs}
+    return propagate_free(state, grid, run.pop("dt"), run.pop("n_steps"),
+                          progress=lambda step, n_steps: True, **run)
+
+
+# id: (parameter named in the message, call taking the value, minimum, a valid value)
+COUNTS = {
+    "HyperDimension": ("dimension", HyperDimension, 1, 6),
+    "Tolerance": ("max_subdivisions", lambda v: Tolerance(max_subdivisions=v), 1, 3),
+    "RadialGrid": ("n_points", lambda v: RadialGrid(v, 0.012), 512, 1024),
+    "propagate_free-n_steps": ("n_steps", lambda v: _propagate(n_steps=v), 1, 3),
+    "propagate_free-record_every": ("record_every", lambda v: _propagate(record_every=v), 1, 2),
+    "propagate_free-progress_every": ("progress_every", lambda v: _propagate(progress_every=v), 1, 2),
+    "fermion_trap_energy": ("particle count", lambda v: fermion_trap_energy(v, PhysicalParams()), 1, 3),
+    "fermion_scaling_table":
+        ("N", lambda v: fermion_scaling_table([v, *range(10, 19)], PhysicalParams()), 1, 3),
+    "bessel_k": ("Bessel order", lambda v: bessel_k(v, 1.0), 0, 1),
+    "bessel_k_integral": ("Bessel order", lambda v: bessel_k_integral(v, 1.0), 0, 1),
+}
+# id: (parameter named in the message, call taking the value, a valid value)
+NUMBERS = {
+    "Tolerance-rel": ("rel", lambda v: Tolerance(rel=v), 1e-6),
+    "Tolerance-abs": ("abs", lambda v: Tolerance(abs=v), 1e-6),
+    "RadialState.support": ("drop_decades", make_state("u1", 9).support, 16.0),
+    "RadialGrid": ("spacing", lambda v: RadialGrid(1024, v), 0.012),
+    "propagate_free": ("dt", lambda v: _propagate(dt=v), 0.01),
+    "bessel_k": ("Bessel argument", lambda v: bessel_k(1, v), 2.0),
+    "bessel_k_ratio": ("Bessel argument", bessel_k_ratio, 2.0),
+    "bessel_k_integral": ("Bessel argument", lambda v: bessel_k_integral(1, v), 2.0),
+}
+
+
+class TestInputContract:
+    """Every scalar parameter is a count or a positive number, checked in core."""
+
+    @pytest.mark.parametrize("name, call, minimum, good", COUNTS.values(), ids=COUNTS)
+    def test_count(self, name, call, minimum, good):
+        for bad in (2.5, float(good), True, minimum - 1, math.nan, math.inf, "3"):
+            with pytest.raises(DomainError, match=f"{re.escape(name)} must be an integer >= {minimum}"):
+                call(bad)
+                pytest.fail(f"{name} accepted {bad!r}")
+        for value in (good, np.int64(good)):
+            call(value)
+
+    @pytest.mark.parametrize("name, call, good", NUMBERS.values(), ids=NUMBERS)
+    def test_positive_number(self, name, call, good):
+        for bad in (True, 0, 0.0, -good, math.nan, math.inf, -math.inf, "1"):
+            with pytest.raises(DomainError, match=f"{re.escape(name)} must be positive and finite"):
+                call(bad)
+                pytest.fail(f"{name} accepted {bad!r}")
+        for value in (1, good, np.float64(good)):
+            call(value)

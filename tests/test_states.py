@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from hyperradial import (
     unit_sphere_volume,
     v_q,
 )
+from hyperradial import states
 from hyperradial.states import _lambert_w
 
 ALL_FAMILIES = [StateFamily.U0, StateFamily.U1, StateFamily.U2]
@@ -238,14 +240,40 @@ class TestEvaluation:
         (np.array([1.0, 1.5, 2.0]), (3,)),
     ], ids=["float", "0-d", "list", "ndarray"])
     def test_radius_return_kind(self, r, shape, params):
+        # a scalar r gives the matching element of the array call, of the same kind
         for name, function in radial_functions(params).items():
             out = function(r)
+            reference = function(np.array([1.0, 1.5, 2.0]))
             if name == "u2_eigenstate_residual":  # one figure over all the radii
                 assert type(out) is float, name
             elif shape is None:
-                assert np.isscalar(out), (name, type(out))
+                kind = complex if name == "short_time_phase_state" else float
+                assert np.isscalar(out) and isinstance(out, kind), (name, type(out))
+                assert out == reference[1], name
             else:
                 assert isinstance(out, np.ndarray) and out.shape == shape, (name, type(out))
+                assert np.array_equal(out, reference), name
+
+    def test_one_radius_gate_per_call(self, params, monkeypatch):
+        # composites build on one gated evaluator instead of checking r again; the
+        # phase state and the eigenstate residual evaluate arrays of their own
+        original = states._as_positive_radius
+        calls = []
+
+        def counting(r):
+            calls.append(r)
+            return original(r)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("hyperradial") and vars(module).get("_as_positive_radius") is original:
+                monkeypatch.setattr(module, "_as_positive_radius", counting)
+        for name, function in radial_functions(params).items():
+            if name in ("short_time_phase_state", "u2_eigenstate_residual"):
+                continue
+            for r in (1.5, np.array([1.0, 1.5, 2.0])):
+                calls.clear()
+                function(r)
+                assert len(calls) == 1, (name, len(calls))
 
     def test_curvature_matches_finite_differences(self, params):
         # u'' has zeros, so compare on an absolute scale set by the largest
