@@ -64,7 +64,7 @@ from .core import (
     _require_integer,
     _require_positive,
 )
-from .energy import _check_inverse_moment, t_r_closed, t_v_closed, v_q
+from .energy import _check_inverse_moment, _v_q, t_r_closed, t_v_closed, v_q
 from .specialfn import bessel_k_ratio, gamma_ratio
 from .states import ArrayLike, RadialState, StateFamily, _as_positive_radius, _scalar_like, _trap_power
 
@@ -79,10 +79,11 @@ MIN_FIT_STEPS = 16  # fewest steps a default run takes, and spends inside fit_wi
 
 def centrifugal_force(dim: HyperDimension, params: PhysicalParams, r: ArrayLike) -> ArrayLike:
     """Quantum centrifugal force F_Q(r) = -dV_Q/dr, in absolute units."""
-    arr = _as_positive_radius(r)
-    prefactor = params.hbar**2 / (2.0 * params.mass)
-    out = prefactor * dim.strength() / (2.0 * arr**3)
-    return _scalar_like(r, out)
+    return _scalar_like(r, _centrifugal_force(dim, params, _as_positive_radius(r)))
+
+
+def _centrifugal_force(dim: HyperDimension, params: PhysicalParams, arr: np.ndarray) -> np.ndarray:
+    return params.hbar**2 / (2.0 * params.mass) * dim.strength() / (2.0 * arr**3)
 
 
 def raman_nath_slope(state: RadialState) -> float:
@@ -98,7 +99,7 @@ def raman_nath_slope(state: RadialState) -> float:
     _check_inverse_moment(state, 3)
     params = state.params
     unit = params.kappa * params.epsilon()
-    moment = state.expectation(lambda r: centrifugal_force(state.dim, params, r) / unit).value
+    moment = state.expectation(lambda r: _centrifugal_force(state.dim, params, r) / unit).value
     return moment * (params.epsilon() / params.hbar)
 
 
@@ -512,11 +513,11 @@ def bohm_quantum_potential(state: RadialState, r: ArrayLike) -> ArrayLike:
     Enters the short-time phase but drops out of <p_r> for real initial
     profiles that vanish at the origin.
     """
-    import numpy as np
+    return _scalar_like(r, _bohm_quantum_potential(state, _as_positive_radius(r)))
 
-    prefactor = state.params.hbar**2 / (2.0 * state.params.mass)
-    out = -prefactor * np.asarray(state.u_second_over_u(r))
-    return _scalar_like(r, out)
+
+def _bohm_quantum_potential(state: RadialState, arr: np.ndarray) -> np.ndarray:
+    return -state.params.hbar**2 / (2.0 * state.params.mass) * state._u_second_over_u(arr)
 
 
 def short_time_phase_state(state: RadialState, t: float, r: ArrayLike) -> np.ndarray:
@@ -533,22 +534,19 @@ def short_time_phase_state(state: RadialState, t: float, r: ArrayLike) -> np.nda
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
     params = state.params
-    r_peak = state.peak_radius()
-    if r_peak == 0.0:
-        r_peak = float(state.support()[0])
+    # the peak radius, or the support's inner edge for u0 at D = 1, is positive
+    r_peak = np.asarray(state.peak_radius() or state.support()[0])
     phase_scale = abs(
-        float(bohm_quantum_potential(state, r_peak))
-        + float(v_q(state.dim, params, r_peak))
+        float(_bohm_quantum_potential(state, r_peak))
+        + float(_v_q(state.dim, params, r_peak))
     ) * abs(t) / params.hbar
     if phase_scale > 0.5:
         raise PreconditionError(
             f"short-time approximation invalid: |[W+V_Q] t/hbar| = {phase_scale:.3g} > 0.5 at the peak"
         )
-    log_u = np.asarray(state.log_u(arr))
-    log_peak = float(state.log_u(r_peak))
-    mask = log_u > log_peak + math.log(1e-12)
+    log_u = state._log_u(arr)
+    mask = log_u > float(state._log_u(r_peak)) + math.log(1e-12)
     amplitude = np.where(mask, np.exp(log_u), 0.0)
-    w = np.asarray(bohm_quantum_potential(state, arr))
-    vq = np.asarray(v_q(state.dim, params, arr))
-    phase = np.where(mask, -(w + vq) * t / params.hbar, 0.0)
+    phase = np.where(mask, -(_bohm_quantum_potential(state, arr) + _v_q(state.dim, params, arr))
+                     * t / params.hbar, 0.0)
     return amplitude * np.exp(1j * phase)

@@ -45,10 +45,11 @@ QUADRATURE = "quadrature"
 
 def v_q(dim: HyperDimension, params: PhysicalParams, r: ArrayLike) -> ArrayLike:
     """Quantum centrifugal potential V_Q(r) in absolute energy units."""
-    arr = _as_positive_radius(r)
-    prefactor = params.hbar**2 / (2.0 * params.mass)
-    out = prefactor * dim.strength() / (4.0 * arr**2)
-    return _scalar_like(r, out)
+    return _scalar_like(r, _v_q(dim, params, _as_positive_radius(r)))
+
+
+def _v_q(dim: HyperDimension, params: PhysicalParams, arr: np.ndarray) -> np.ndarray:
+    return params.hbar**2 / (2.0 * params.mass) * dim.strength() / (4.0 * arr**2)
 
 
 def _trap_order(family: StateFamily, dim: HyperDimension) -> float:
@@ -99,7 +100,7 @@ def t_r_quadrature(state: RadialState) -> float:
     prefactor = state.params.hbar**2 / (2.0 * state.params.mass) / state.params.epsilon()
 
     def weight(r: np.ndarray) -> np.ndarray:
-        return -prefactor * state.u_second_over_u(r)
+        return -prefactor * state._u_second_over_u(r)  # r was checked by the density's log_u
 
     return state.expectation(weight).value
 
@@ -113,7 +114,7 @@ def t_v_quadrature(state: RadialState) -> float:
         return 0.0
     _check_inverse_moment(state, 2)
     eps = state.params.epsilon()
-    return state.expectation(lambda r: v_q(state.dim, state.params, r) / eps).value
+    return state.expectation(lambda r: _v_q(state.dim, state.params, r) / eps).value
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from .core import DomainError, PreconditionError, Tolerance, _require_integer, _require_positive
+from .core import PreconditionError, Tolerance, _require_integer, _require_positive
 from .quadrature import integrate
 
 # Tolerance of the defining-integral reference, tighter than DEFAULT_TOLERANCE:
@@ -46,15 +46,13 @@ __all__ = [
 
 def gamma(x: float) -> float:
     """Gamma function for strictly positive real argument."""
-    if not (x > 0):
-        raise DomainError(f"gamma requires x > 0, got {x!r}")
+    _require_positive("Gamma argument", x)
     return math.gamma(x)
 
 
 def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0; safe for arguments of several thousand."""
-    if not (x > 0):
-        raise DomainError(f"log_gamma requires x > 0, got {x!r}")
+    _require_positive("Gamma argument", x)
     return math.lgamma(x)
 
 

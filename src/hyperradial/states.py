@@ -115,7 +115,9 @@ def _trap_power(family: StateFamily, dim: HyperDimension) -> float:
         return 0.5 * (dim.d - 1)
     if family is StateFamily.U1:
         return 0.5 * (dim.d + 3)
-    raise DomainError("u2 has no power-law prefactor")
+    if family is StateFamily.U2:
+        raise DomainError("u2 has no power-law prefactor")
+    raise DomainError(f"family must be a StateFamily, got {family!r}")
 
 
 def log_norm_constant(family: StateFamily, dim: HyperDimension, params: PhysicalParams) -> float:
@@ -136,6 +138,11 @@ def norm_constant(family: StateFamily, dim: HyperDimension, params: PhysicalPara
     return math.exp(log_norm_constant(family, dim, params))
 
 
+# The one radius check.  Each radius array is checked once, where it enters the
+# evaluators: a caller's r in each public function of a radius, and the quadrature
+# nodes once per integrand evaluation, in `log_u`.  Past the check the work is done
+# by array kernels (`RadialState._log_u`, `energy._v_q`, ...), which take a checked
+# array, return an array and stay private, so that no public path skips the check.
 def _as_positive_radius(r: ArrayLike) -> np.ndarray:
     import numpy as np
 
@@ -181,19 +188,34 @@ class RadialState:
 
     # -- evaluation -----------------------------------------------------
 
-    def log_u(self, r: ArrayLike) -> ArrayLike:
-        """ln u(r); u is strictly positive for r > 0 in all three families."""
+    def _log_u(self, arr: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        arr = _as_positive_radius(r)
+        kappa = self.params.kappa
+        if self.family is StateFamily.U2:
+            return self.log_norm - 0.5 * (self.params.beta / arr + kappa * arr)
+        a = _trap_power(self.family, self.dim)
+        return self.log_norm + a * np.log(arr) - 0.5 * (kappa * arr) ** 2
+
+    def _d_log_u(self, arr: np.ndarray) -> np.ndarray:
+        kappa = self.params.kappa
+        if self.family is StateFamily.U2:
+            return 0.5 * self.params.beta / arr**2 - 0.5 * kappa
+        a = _trap_power(self.family, self.dim)
+        return a / arr - kappa**2 * arr
+
+    def _u_second_over_u(self, arr: np.ndarray) -> np.ndarray:
         kappa = self.params.kappa
         if self.family is StateFamily.U2:
             beta = self.params.beta
-            out = self.log_norm - 0.5 * (beta / arr + kappa * arr)
-        else:
-            a = _trap_power(self.family, self.dim)
-            out = self.log_norm + a * np.log(arr) - 0.5 * (kappa * arr) ** 2
-        return _scalar_like(r, out)
+            return (beta**2 / (4.0 * arr**4) - beta * kappa / (2.0 * arr**2)
+                    - beta / arr**3 + kappa**2 / 4.0)
+        a = _trap_power(self.family, self.dim)
+        return a * (a - 1.0) / arr**2 - kappa**2 * (2.0 * a + 1.0) + kappa**4 * arr**2
+
+    def log_u(self, r: ArrayLike) -> ArrayLike:
+        """ln u(r); u is strictly positive for r > 0 in all three families."""
+        return _scalar_like(r, self._log_u(_as_positive_radius(r)))
 
     def u(self, r: ArrayLike) -> ArrayLike:
         """Radial profile u(r)."""
@@ -203,43 +225,18 @@ class RadialState:
 
     def d_log_u(self, r: ArrayLike) -> ArrayLike:
         """Logarithmic derivative u'(r)/u(r)."""
-        arr = _as_positive_radius(r)
-        kappa = self.params.kappa
-        if self.family is StateFamily.U2:
-            beta = self.params.beta
-            out = 0.5 * beta / arr**2 - 0.5 * kappa
-        else:
-            a = _trap_power(self.family, self.dim)
-            out = a / arr - kappa**2 * arr
-        return _scalar_like(r, out)
+        return _scalar_like(r, self._d_log_u(_as_positive_radius(r)))
 
     def u_second_over_u(self, r: ArrayLike) -> ArrayLike:
         """Analytic curvature ratio u''(r)/u(r), used by the energy oracle."""
-        arr = _as_positive_radius(r)
-        kappa = self.params.kappa
-        if self.family is StateFamily.U2:
-            beta = self.params.beta
-            out = (
-                beta**2 / (4.0 * arr**4)
-                - beta * kappa / (2.0 * arr**2)
-                - beta / arr**3
-                + kappa**2 / 4.0
-            )
-        else:
-            a = _trap_power(self.family, self.dim)
-            out = a * (a - 1.0) / arr**2 - kappa**2 * (2.0 * a + 1.0) + kappa**4 * arr**2
-        return _scalar_like(r, out)
+        return _scalar_like(r, self._u_second_over_u(_as_positive_radius(r)))
 
     def log_abs_psi(self, r: ArrayLike) -> ArrayLike:
         """ln |Psi(r)| of the full D-dimensional wave function."""
         import numpy as np
 
-        log_u = self.log_u(r)  # the radius gate; r is known good below
-        out = (
-            np.asarray(log_u)
-            - 0.5 * log_solid_angle(self.dim)
-            - 0.5 * (self.dim.d - 1) * np.log(np.asarray(r, dtype=float))
-        )
+        arr = _as_positive_radius(r)
+        out = self._log_u(arr) - 0.5 * log_solid_angle(self.dim) - 0.5 * (self.dim.d - 1) * np.log(arr)
         return _scalar_like(r, out)
 
     def psi(self, r: ArrayLike) -> ArrayLike:
@@ -357,16 +354,18 @@ def eigen_potential_v2(params: PhysicalParams, r: ArrayLike) -> ArrayLike:
     V2(r) = (hbar^2/2M) [ beta^2/(4 r^4) - beta*kappa/(2 r^2) - beta/r^3 + (kappa/2)^2 ];
     independent of D by construction, approaching (hbar^2/2M)(kappa/2)^2 as r -> inf.
     """
-    arr = _as_positive_radius(r)
+    return _scalar_like(r, _eigen_potential_v2(params, _as_positive_radius(r)))
+
+
+def _eigen_potential_v2(params: PhysicalParams, arr: np.ndarray) -> np.ndarray:
     beta, kappa = params.beta, params.kappa
     prefactor = params.hbar**2 / (2.0 * params.mass)
-    out = prefactor * (
+    return prefactor * (
         beta**2 / (4.0 * arr**4)
         - beta * kappa / (2.0 * arr**2)
         - beta / arr**3
         + (kappa / 2.0) ** 2
     )
-    return _scalar_like(r, out)
 
 
 def u2_eigenstate_residual(params: PhysicalParams, r: ArrayLike) -> float:
@@ -384,16 +383,17 @@ def u2_eigenstate_residual(params: PhysicalParams, r: ArrayLike) -> float:
     arr = _as_positive_radius(r)
     state = RadialState(family=StateFamily.U2, dim=HyperDimension(3), params=params)
 
-    # local variation scale of u2; the step must resolve it
-    local_rate = np.abs(np.asarray(state.d_log_u(arr))) + 2.0 / arr + params.kappa
+    # local variation scale of u2; the step must resolve it, and h <= r/400 keeps
+    # every stencil radius r +- 2h positive
+    local_rate = np.abs(state._d_log_u(arr)) + 2.0 / arr + params.kappa
     h = RESIDUAL_STEP_SCALE / local_rate
 
     stencil = np.zeros_like(arr)
     for offset, weight in ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0)):
-        stencil += weight * np.asarray(state.u(arr + offset * h))
+        stencil += weight * np.exp(state._log_u(arr + offset * h))
     u_second_fd = stencil / (12.0 * h**2)
 
     coupling = 2.0 * params.mass / params.hbar**2
-    potential_term = coupling * np.asarray(eigen_potential_v2(params, arr)) * np.asarray(state.u(arr))
+    potential_term = coupling * _eigen_potential_v2(params, arr) * np.exp(state._log_u(arr))
     residual = np.max(np.abs(u_second_fd - potential_term))
     return float(residual / np.max(np.abs(u_second_fd)))

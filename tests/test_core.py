@@ -19,6 +19,8 @@ from hyperradial import (
     epsilon,
     fermion_scaling_table,
     fermion_trap_energy,
+    gamma,
+    log_gamma,
     make_state,
     propagate_free,
     strength,
@@ -144,6 +146,8 @@ NUMBERS = {
     "bessel_k": ("Bessel argument", lambda v: bessel_k(1, v), 2.0),
     "bessel_k_ratio": ("Bessel argument", bessel_k_ratio, 2.0),
     "bessel_k_integral": ("Bessel argument", lambda v: bessel_k_integral(1, v), 2.0),
+    "gamma": ("Gamma argument", gamma, 2.0),
+    "log_gamma": ("Gamma argument", log_gamma, 2.0),
 }
 
 

@@ -14,6 +14,8 @@ from hyperradial import (
     StateFamily,
     bessel_k_integral,
     energy_report,
+    energy_scaling_table,
+    log_norm_constant,
     make_state,
     t_r_closed,
     t_r_quadrature,
@@ -21,6 +23,7 @@ from hyperradial import (
     t_v_quadrature,
     v_q,
 )
+from hyperradial.states import _trap_power
 
 U0, U1, U2 = StateFamily.U0, StateFamily.U1, StateFamily.U2
 
@@ -101,6 +104,18 @@ class TestClosedForms:
         for op in (t_r_closed, t_v_closed):
             with pytest.raises(DomainError, match="1/\\(D-2\\)"):
                 op(U0, HyperDimension(d), params)
+
+    @pytest.mark.parametrize("family", ["u0", "u2"])
+    def test_family_must_be_a_state_family(self, family, params):
+        # a string family is named as such, not as u2
+        dim = HyperDimension(6)
+        for op in (lambda: t_r_closed(family, dim, params), lambda: t_v_closed(family, dim, params),
+                   lambda: log_norm_constant(family, dim, params),
+                   lambda: energy_scaling_table(family, [2, 3], params)):
+            with pytest.raises(DomainError, match=f"family must be a StateFamily, got '{family}'"):
+                op()
+        with pytest.raises(DomainError, match="u2 has no power-law prefactor"):
+            _trap_power(U2, dim)
 
     def test_u1_total_negative_correction_at_d2(self, params):
         # u1 remains regular at D=2; its centrifugal part goes negative there

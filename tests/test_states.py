@@ -9,6 +9,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import lambertw
 
 from hyperradial import (
+    QUADRATURE,
     DomainError,
     HyperDimension,
     PhysicalParams,
@@ -18,10 +19,12 @@ from hyperradial import (
     bohm_quantum_potential,
     centrifugal_force,
     eigen_potential_v2,
+    energy_report,
     gamma,
     log_solid_angle,
     make_state,
     norm_constant,
+    raman_nath_slope,
     short_time_phase_state,
     solid_angle,
     u2_eigenstate_residual,
@@ -51,6 +54,22 @@ def radial_functions(params: PhysicalParams) -> dict:
         "short_time_phase_state": lambda r: short_time_phase_state(state, 0.0, r),
         "u2_eigenstate_residual": lambda r: u2_eigenstate_residual(params, r),
     }
+
+
+@pytest.fixture
+def gate_calls(monkeypatch) -> list:
+    """The radii passed to `_as_positive_radius`, in every module that imports it."""
+    original = states._as_positive_radius
+    calls = []
+
+    def counting(r):
+        calls.append(r)
+        return original(r)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("hyperradial") and vars(module).get("_as_positive_radius") is original:
+            monkeypatch.setattr(module, "_as_positive_radius", counting)
+    return calls
 
 
 def _middle(bad: float):
@@ -254,26 +273,39 @@ class TestEvaluation:
                 assert isinstance(out, np.ndarray) and out.shape == shape, (name, type(out))
                 assert np.array_equal(out, reference), name
 
-    def test_one_radius_gate_per_call(self, params, monkeypatch):
-        # composites build on one gated evaluator instead of checking r again; the
-        # phase state and the eigenstate residual evaluate arrays of their own
-        original = states._as_positive_radius
-        calls = []
-
-        def counting(r):
-            calls.append(r)
-            return original(r)
-
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("hyperradial") and vars(module).get("_as_positive_radius") is original:
-                monkeypatch.setattr(module, "_as_positive_radius", counting)
+    def test_one_radius_gate_per_call(self, params, gate_calls):
+        # composites, the phase state and the eigenstate residual included, check r
+        # once and pass the checked array to private kernels
         for name, function in radial_functions(params).items():
-            if name in ("short_time_phase_state", "u2_eigenstate_residual"):
-                continue
             for r in (1.5, np.array([1.0, 1.5, 2.0])):
-                calls.clear()
+                gate_calls.clear()
                 function(r)
-                assert len(calls) == 1, (name, len(calls))
+                assert len(gate_calls) == 1, (name, len(gate_calls))
+
+    @pytest.mark.parametrize("family, d", [(StateFamily.U2, 6), (StateFamily.U1, 9)])
+    def test_one_radius_gate_per_integrand_evaluation(self, family, d, params, gate_calls, monkeypatch):
+        # the density's log_u checks the quadrature nodes; the weights take them as checked
+        integrate_radial, evaluations = states.integrate_radial, []
+
+        def counting_integrate(f, r_lo, r_hi):
+            def integrand(r):
+                evaluations.append(r)
+                return f(r)
+            return integrate_radial(integrand, r_lo, r_hi)
+
+        monkeypatch.setattr(states, "integrate_radial", counting_integrate)
+        state = make_state(family, d, params)
+        runs = {
+            "normalization_integral": state.normalization_integral,
+            "energy_report": lambda: energy_report(state, QUADRATURE),
+            "raman_nath_slope": lambda: raman_nath_slope(state),
+        }
+        for name, run in runs.items():
+            gate_calls.clear()
+            evaluations.clear()
+            run()
+            assert evaluations and len(gate_calls) == len(evaluations), (
+                name, len(gate_calls), len(evaluations))
 
     def test_curvature_matches_finite_differences(self, params):
         # u'' has zeros, so compare on an absolute scale set by the largest
