@@ -10,9 +10,9 @@ Subcommands map one-to-one onto the module API:
 
 Exit codes: 0 success, also when the reader closes stdout early (the output
 ends with no message), 1 verification failure, 2 invalid input, 3 numerical
-failure.  All floating-point output uses 12 significant digits and fixed
-quadrature node order, so identical configurations produce byte-identical
-files.
+failure.  CSV rows and stderr summaries use 12 significant digits, JSON
+output every double at full round-trip precision (Python's repr); with fixed
+quadrature node order, identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO
 
@@ -34,7 +33,7 @@ from .core import (
     PhysicalParams,
     PreconditionError,
 )
-from .dynamics import RadialGrid, fit_window, propagate_free
+from .dynamics import DEFAULT_N_POINTS, RadialGrid, fit_window, propagate_free
 from .energy import CLOSED_FORM, QUADRATURE, energy_report
 from .scaling import (
     energy_scaling_table,
@@ -61,6 +60,11 @@ def __getattr__(name: str):
 
 def _fmt(x: float) -> str:
     return format(x, ".12g")
+
+
+def _rel_dev(a: float, b: float) -> float:
+    """Deviation of a closed form from its quadrature, relative to the larger of the two."""
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -168,11 +172,6 @@ def _cmd_energies(args: argparse.Namespace) -> int:
     state = _state_from(args)
     closed = energy_report(state, CLOSED_FORM)
     quad = energy_report(state, QUADRATURE)
-
-    def rel_dev(a: float, b: float) -> float:
-        scale = max(abs(a), abs(b), 1e-300)
-        return abs(a - b) / scale
-
     rows = [
         ("t_r", closed.t_r, quad.t_r),
         ("t_v", closed.t_v, quad.t_v),
@@ -185,7 +184,7 @@ def _cmd_energies(args: argparse.Namespace) -> int:
                 "epsilon": closed.epsilon,
                 "units": "epsilon",
                 "energies": {
-                    name: {"closed_form": c, "quadrature": q, "rel_deviation": rel_dev(c, q)}
+                    name: {"closed_form": c, "quadrature": q, "rel_deviation": _rel_dev(c, q)}
                     for name, c, q in rows
                 },
             }
@@ -194,11 +193,11 @@ def _cmd_energies(args: argparse.Namespace) -> int:
         else:
             stream.write("quantity,closed_form,quadrature,rel_deviation,units\n")
             for name, c, q in rows:
-                stream.write(f"{name},{_fmt(c)},{_fmt(q)},{_fmt(rel_dev(c, q))},epsilon\n")
+                stream.write(f"{name},{_fmt(c)},{_fmt(q)},{_fmt(_rel_dev(c, q))},epsilon\n")
     print(
         f"family={state.family.value} D={state.dim.d} total={_fmt(closed.total)} epsilon "
         f"(epsilon={_fmt(closed.epsilon)}, closed vs quadrature max rel dev "
-        f"{_fmt(max(rel_dev(c, q) for _, c, q in rows))})",
+        f"{_fmt(max(_rel_dev(c, q) for _, c, q in rows))})",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -297,51 +296,40 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ verify
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-
 def _worst(deviations: Sequence[float]) -> float:
     """Largest deviation; NaN if any is NaN, so a NaN never passes a check."""
     return math.nan if any(map(math.isnan, deviations)) else max(deviations)
 
 
-def _check_normalization(perturb: float) -> CheckResult:
+def _check_normalization(args: argparse.Namespace) -> tuple[bool, str]:
     states = [make_state(family, d) for d in (4, 6, 9, 30, 60)
               for family in (StateFamily.U0, StateFamily.U1)]
     states += [make_state(StateFamily.U2, 6, PhysicalParams(beta=bk)) for bk in (0.25, 1.0, 4.0)]
-    worst = _worst([abs(state.normalization_integral().value * (1.0 + perturb) ** 2 - 1.0)
+    worst = _worst([abs(state.normalization_integral().value * (1.0 + args.perturb_norm) ** 2 - 1.0)
                     for state in states])
-    return CheckResult("normalization", worst <= 1e-9, f"max |norm - 1| = {worst:.3e}")
+    return worst <= 1e-9, f"max |norm - 1| = {worst:.3e}"
 
 
-def _check_energies() -> CheckResult:
+def _check_energies(args: argparse.Namespace) -> tuple[bool, str]:
     dims = (4, 5, 6, 9, 12, 30, 60, 150)
     states = [make_state(family, d) for family in (StateFamily.U0, StateFamily.U1) for d in dims]
     states += [make_state(StateFamily.U2, d, PhysicalParams(beta=bk))
                for bk in (0.25, 1.0, 4.0) for d in dims]
-    deviations = []
-    for state in states:
-        closed = energy_report(state, CLOSED_FORM)
-        quad = energy_report(state, QUADRATURE)
-        for c, q in ((closed.t_r, quad.t_r), (closed.t_v, quad.t_v)):
-            deviations.append(abs(c - q) / max(abs(c), 1e-300))
-    worst = _worst(deviations)
-    return CheckResult("energies", worst <= 1e-8, f"max closed-vs-quadrature rel dev = {worst:.3e}")
+    reports = [(energy_report(state, CLOSED_FORM), energy_report(state, QUADRATURE)) for state in states]
+    worst = _worst([_rel_dev(c, q) for closed, quad in reports
+                    for c, q in ((closed.t_r, quad.t_r), (closed.t_v, quad.t_v))])
+    return worst <= 1e-8, f"max closed-vs-quadrature rel dev = {worst:.3e}"
 
 
-def _check_eigenstate() -> CheckResult:
+def _check_eigenstate(args: argparse.Namespace) -> tuple[bool, str]:
     import numpy as np
 
     radii = np.geomspace(0.1, 10.0, 400)
     residual = u2_eigenstate_residual(PhysicalParams(), radii)
-    return CheckResult("eigenstate", residual <= 1e-8, f"max relative residual = {residual:.3e}")
+    return residual <= 1e-8, f"max relative residual = {residual:.3e}"
 
 
-def _check_bessel() -> CheckResult:
+def _check_bessel(args: argparse.Namespace) -> tuple[bool, str]:
     recurrence = []
     for zeta in (0.5, 1.0, 2.0, 5.0, 10.0):
         k0, k1, k2 = (bessel_k(n, zeta) for n in (0, 1, 2))
@@ -349,30 +337,24 @@ def _check_bessel() -> CheckResult:
     worst_rec = _worst(recurrence)
     worst_int = _worst([abs(bessel_k(n, zeta) / bessel_k_integral(n, zeta) - 1.0)
                         for n in (0, 1, 2) for zeta in (0.1, 2.0, 30.0)])
-    return CheckResult(
-        "bessel",
-        worst_rec <= 1e-9 and worst_int <= 1e-9,
-        f"recurrence dev = {worst_rec:.3e}, integral-oracle dev = {worst_int:.3e}",
-    )
+    return (worst_rec <= 1e-9 and worst_int <= 1e-9,
+            f"recurrence dev = {worst_rec:.3e}, integral-oracle dev = {worst_int:.3e}")
 
 
-_VERIFY_CHECKS = ("normalization", "energies", "eigenstate", "bessel")
+_VERIFY_CHECKS = {
+    "normalization": _check_normalization,
+    "energies": _check_energies,
+    "eigenstate": _check_eigenstate,
+    "bessel": _check_bessel,
+}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    checks = {
-        "normalization": lambda: _check_normalization(args.perturb_norm),
-        "energies": _check_energies,
-        "eigenstate": _check_eigenstate,
-        "bessel": _check_bessel,
-    }
-    names = _VERIFY_CHECKS if args.only is None else (args.only,)
     all_passed = True
-    for name in names:
-        result = checks[name]()
-        status = "PASS" if result.passed else "FAIL"
-        all_passed &= result.passed
-        print(f"{status} {result.name}: {result.detail}")
+    for name in _VERIFY_CHECKS if args.only is None else (args.only,):
+        passed, detail = _VERIFY_CHECKS[name](args)
+        all_passed &= passed
+        print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
@@ -468,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pr = sub.add_parser("propagate", parents=state, allow_abbrev=False,
                           help="Crank-Nicolson free expansion")
-    p_pr.add_argument("--n-points", dest="n_points", type=int, default=4096)
+    p_pr.add_argument("--n-points", dest="n_points", type=int, default=DEFAULT_N_POINTS)
     p_pr.add_argument("--r-max", dest="r_max", type=float, default=None,
                       help="outer wall radius (default: state-dependent)")
     p_pr.add_argument("--dt", type=float, default=None, help="time step (default: accuracy policy)")
@@ -478,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ve = sub.add_parser("verify", parents=[jobs, config], allow_abbrev=False,
                           help="oracle-equivalence suite")
-    p_ve.add_argument("--only", choices=_VERIFY_CHECKS, default=None)
+    p_ve.add_argument("--only", choices=list(_VERIFY_CHECKS), default=None)
     p_ve.add_argument("--perturb-norm", dest="perturb_norm", type=float, default=0.0,
                       help="test-only fault injection into the normalization check")
     p_ve.set_defaults(func=_cmd_verify, _parser=p_ve)

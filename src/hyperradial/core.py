@@ -17,6 +17,7 @@ included.  A bool is neither.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -84,12 +85,15 @@ class PhysicalParams:
             _require_positive(name, getattr(self, name))
 
     def epsilon(self) -> float:
-        """Kinetic energy scale (hbar*kappa)^2 / (2M)."""
+        """Kinetic energy scale (hbar*kappa)^2 / (2M); OverflowError outside the normal doubles."""
         try:
-            return (self.hbar * self.kappa) ** 2 / (2.0 * self.mass)
+            eps = (self.hbar * self.kappa) ** 2 / (2.0 * self.mass)
         except OverflowError:
-            raise OverflowError(f"epsilon = (hbar*kappa)^2/(2M) overflows at kappa={self.kappa:g} "
-                                f"(hbar={self.hbar:g}, mass={self.mass:g})") from None
+            eps = math.inf
+        if not sys.float_info.min <= eps < math.inf:
+            raise OverflowError(f"epsilon = (hbar*kappa)^2/(2M) {'over' if eps > 1 else 'under'}flows "
+                                f"at kappa={self.kappa:g} (hbar={self.hbar:g}, mass={self.mass:g})")
+        return eps
 
     @property
     def beta_kappa(self) -> float:

@@ -64,7 +64,7 @@ from .core import (
     _require_integer,
     _require_positive,
 )
-from .energy import _check_inverse_moment, _v_q, t_r_closed, t_v_closed, v_q
+from .energy import _check_inverse_moment, _v_q, t_r_closed, t_v_closed
 from .specialfn import bessel_k_ratio, gamma_ratio
 from .states import ArrayLike, RadialState, StateFamily, _as_positive_radius, _scalar_like, _trap_power
 
@@ -156,6 +156,9 @@ class RadialGrid:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_points", _require_integer("n_points", self.n_points, 512))
         _require_positive("spacing", self.spacing)
+        if self.r_max == math.inf:  # so every node is positive and finite
+            raise DomainError(f"r_max = n_points * spacing must be finite, "
+                              f"got {self.n_points} * {self.spacing!r}")
 
     @property
     def r_min(self) -> float:
@@ -193,15 +196,18 @@ class RadialGrid:
 
 def _time_step_caps(state: RadialState, grid: RadialGrid) -> dict[str, float]:
     # the caps of the default step by name, in the order that names a tie
+    import numpy as np
+
     params = state.params
+    window = fit_window(state)  # names an epsilon out of range before h^2 can overflow
     caps = {
         # kinetic phase hbar dt / (2 M h^2) per step across one cell held at 0.1
         "kinetic": 0.1 * 2.0 * params.mass * grid.spacing**2 / params.hbar,
-        f"fit_window/{MIN_FIT_STEPS}": fit_window(state) / MIN_FIT_STEPS,
+        f"fit_window/{MIN_FIT_STEPS}": window / MIN_FIT_STEPS,
     }
     if state.dim.strength() != 0:
-        r_edge = max(grid.r_min, state.support(drop_decades=6.0)[0])
-        caps["centrifugal"] = 0.1 * params.hbar / abs(float(v_q(state.dim, params, r_edge)))
+        r_edge = np.asarray(max(grid.r_min, state.support(drop_decades=6.0)[0]))
+        caps["centrifugal"] = 0.1 * params.hbar / abs(float(_v_q(state.dim, params, r_edge)))
     return caps
 
 
@@ -324,12 +330,13 @@ def _tridiagonal_lapack() -> tuple[Callable, Callable]:
 
 
 def _initial_profile(state: RadialState, r: np.ndarray, h: float) -> tuple[np.ndarray, float]:
-    """The state on the nodes r, normalized on the grid, and its peak |u|^2;
-    PreconditionError when the grid does not contain or resolve it."""
+    """The state on the nodes r, normalized on the grid, and its peak |u|^2; PreconditionError
+    when it underflows or overflows there or the grid does not contain or resolve it."""
     import numpy as np
 
-    u = np.asarray(state.u(r), dtype=np.complex128)
-    norm_sum = float(np.sum(np.abs(u) ** 2))
+    with np.errstate(over="ignore"):  # an overflow is reported by the norm check below
+        u = np.asarray(np.exp(state._log_u(r)), dtype=np.complex128)
+        norm_sum = float(np.sum(np.abs(u) ** 2))
     if not 0 < norm_sum < math.inf:
         raise PreconditionError(
             f"the {state.family.value} profile at D={state.dim.d}, "
@@ -386,9 +393,9 @@ def propagate_free(
     Raises
     ------
     PreconditionError
-        When the profile does not vanish at the origin (u0 at D = 1), where
-        the grid puts its inner Dirichlet wall, or when the grid does not
-        contain or resolve the state.
+        When the profile does not vanish at the origin (u0 at D = 1), where the
+        grid puts its inner Dirichlet wall, or, before dt is set, when |u|^2 under-
+        or overflows on the grid or the grid does not contain or resolve the state.
     PropagationError
         On norm drift beyond NORM_DRIFT_LIMIT (1e-4) or when |u|^2 at the
         outer wall exceeds REFLECTION_LIMIT (1e-8) of its initial peak
@@ -403,6 +410,8 @@ def propagate_free(
         )
     if grid is None:
         grid = RadialGrid.for_state(state)
+    r, h, n = grid.points(), grid.spacing, grid.n_points
+    u, peak_density = _initial_profile(state, r, h)
     if dt is None:
         caps = _time_step_caps(state, grid)
         dt_cap = min(caps, key=caps.get)
@@ -418,11 +427,8 @@ def propagate_free(
 
     params = state.params
     hbar, mass, kappa = params.hbar, params.mass, params.kappa
-    r, h, n = grid.points(), grid.spacing, grid.n_points
-    u, peak_density = _initial_profile(state, r, h)
-
     kinetic = hbar**2 / (2.0 * mass * h**2)
-    potential = np.asarray(v_q(state.dim, params, r), dtype=float)
+    potential = _v_q(state.dim, params, r)
     h_diag = 2.0 * kinetic + potential
     h_off = -kinetic
 

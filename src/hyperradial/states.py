@@ -15,8 +15,9 @@ u0 is the product of D identical one-dimensional Gaussians (the ground
 state of an isotropic harmonic trap), u1 the symmetrized excitation with
 one x^2 factor, and u2 a profile whose shape does not depend on D at all.
 Every evaluation runs through log|u| plus sign so that dimensions in the
-thousands neither overflow nor produce NaNs; r^((D-1)/2) alone would leave
-double range near D ~ 600 at r = 2.
+thousands neither overflow nor produce NaNs (r^((D-1)/2) alone would leave
+double range near D ~ 600 at r = 2); psi raises OverflowError where |Psi|
+itself leaves it, as for u2 at D = 300 near r = 0.02.
 """
 
 from __future__ import annotations
@@ -240,10 +241,16 @@ class RadialState:
         return _scalar_like(r, out)
 
     def psi(self, r: ArrayLike) -> ArrayLike:
-        """Full wave function Psi(r) = u(r) / (sqrt(S_D) r^((D-1)/2))."""
+        """Full wave function Psi(r) = u(r) / (sqrt(S_D) r^((D-1)/2)); OverflowError
+        where |Psi| leaves double range, and log_abs_psi gives ln |Psi| there."""
         import numpy as np
 
-        return _scalar_like(r, np.exp(np.asarray(self.log_abs_psi(r))))
+        with np.errstate(over="ignore"):  # named below, with the radius
+            out = np.exp(np.asarray(self.log_abs_psi(r)))
+        if np.isinf(out).any():
+            raise OverflowError(f"|Psi| of {self.family.value} at D={self.dim.d} overflows at "
+                                f"r={np.asarray(r, dtype=float)[np.isinf(out)][0]:g}; use log_abs_psi")
+        return _scalar_like(r, out)
 
     # -- geometry of the profile ----------------------------------------
 

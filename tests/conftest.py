@@ -1,7 +1,12 @@
+import os
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hyperradial import PhysicalParams
+import hyperradial
+from hyperradial import PhysicalParams, states
 
 
 @pytest.fixture
@@ -13,3 +18,25 @@ def params() -> PhysicalParams:
 def _seeded_rng():
     np.random.seed(20240811)
     yield
+
+
+@pytest.fixture
+def gate_calls(monkeypatch) -> list:
+    """The radii passed to `_as_positive_radius`, in every module that imports it."""
+    original = states._as_positive_radius
+    calls = []
+
+    def counting(r):
+        calls.append(r)
+        return original(r)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("hyperradial") and vars(module).get("_as_positive_radius") is original:
+            monkeypatch.setattr(module, "_as_positive_radius", counting)
+    return calls
+
+
+@pytest.fixture
+def child_env() -> dict:
+    """Environment of a child Python process that imports the package under test."""
+    return dict(os.environ, PYTHONPATH=str(Path(hyperradial.__file__).parents[1]))

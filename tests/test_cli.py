@@ -5,11 +5,9 @@ import os
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import pytest
 
-import hyperradial
 from hyperradial import cli, scaling
 from hyperradial.cli import build_parser, main
 from hyperradial.core import PhysicalParams
@@ -78,6 +76,9 @@ class TestInvalidScales:
         ["energies", "--family", "u2", "--D", "6", "--beta-kappa", "1e-320"],
         ["scaling", "--quantity", "slope", "--family", "u2", "--N", "2:20", "--beta-kappa", "1e300"],
         ["scaling", "--quantity", "slope", "--family", "u2", "--N", "2:20", "--beta-kappa", "1e-200"],
+        ["energies", "--family", "u0", "--D", "6", "--kappa", "1e-200"],
+        ["scaling", "--quantity", "slope", "--family", "u1", "--N", "2:30", "--kappa", "1e-170"],
+        ["propagate", "--family", "u0", "--D", "6", "--kappa", "1e-160", "--n-points", "1024"],
     ])
     def test_overflow_is_numerical_failure(self, argv, capsys):
         assert main(argv) == 3
@@ -94,6 +95,12 @@ class TestInvalidScales:
          "(beta*kappa)^(3/2) of the u2 slope", "beta*kappa=1e+300"),
         (["scaling", "--quantity", "slope", "--family", "u2", "--N", "2:20", "--beta-kappa", "1e-200"],
          "K2/K1 of the u2 slope overflows", "beta*kappa=1e-200"),
+        (["energies", "--family", "u0", "--D", "6", "--kappa", "1e-200"],
+         "epsilon = (hbar*kappa)^2/(2M) underflows", "kappa=1e-200"),
+        (["scaling", "--quantity", "slope", "--family", "u1", "--N", "2:30", "--kappa", "1e-170"],
+         "epsilon = (hbar*kappa)^2/(2M) underflows", "kappa=1e-170"),
+        (["propagate", "--family", "u0", "--D", "6", "--kappa", "1e-160", "--n-points", "1024"],
+         "epsilon = (hbar*kappa)^2/(2M) underflows", "kappa=1e-160"),
     ])
     def test_overflow_names_quantity_and_parameter(self, argv, quantity, parameter, capsys):
         assert main(argv) == 3
@@ -209,6 +216,17 @@ class TestPropagateCommand:
         err = capsys.readouterr().err
         assert "measured_slope=" in err and "ratio=" in err
 
+    @pytest.mark.parametrize("r_max", ["1e-300", "1e200"])
+    def test_grid_without_the_profile_is_named_before_dt(self, r_max, capsys):
+        # |u|^2 underflows on every node of both grids; at 1e200 (kappa r)^2 overflows
+        # on the way, and the kinetic cap's h^2 would overflow if it came first
+        argv = ["propagate", "--family", "u0", "--D", "6", "--r-max", r_max, "--n-points", "1024"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the u0 profile at D=6, beta*kappa=1 underflows on the grid"), err
+
     def test_n_steps_counts_steps_not_samples(self, tmp_path, capsys):
         argv = ["propagate", "--family", "u0", "--D", "6", "--n-points", "1024",
                 "--n-steps", "100", "--record-every", "10"]
@@ -230,16 +248,15 @@ class TestPropagateCommand:
         capsys.readouterr()
         assert texts[0] == texts[1]
 
-    def test_files_do_not_depend_on_blas_threads(self, tmp_path):
+    def test_files_do_not_depend_on_blas_threads(self, tmp_path, child_env):
         # the step's banded solves run in the BLAS library, whose thread count
         # must not reach the files
-        env = dict(os.environ, PYTHONPATH=str(Path(hyperradial.__file__).parents[1]))
-        env.pop("OPENBLAS_NUM_THREADS", None)
+        child_env.pop("OPENBLAS_NUM_THREADS", None)
         for name, extra in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
             argv = ["propagate", "--family", "u2", "--D", "30", "--n-points", "1024",
                     "--output", str(tmp_path / f"{name}.csv")]
             subprocess.run([sys.executable, "-m", "hyperradial.cli", *argv],
-                           env={**env, **extra}, capture_output=True, check=True)
+                           env={**child_env, **extra}, capture_output=True, check=True)
         for suffix in (".csv", ".config.json"):
             assert filecmp.cmp(tmp_path / f"one{suffix}", tmp_path / f"default{suffix}",
                                shallow=False)
@@ -355,12 +372,11 @@ class TestClosedPipe:
         (["scaling", "--quantity", "slope", "--family", "u2", "--N", "2:20", "--beta-kappa", "1e-150"], "1"),
         (["verify", "--only", "eigenstate"], ""),
     ], ids=["table-buffered", "table-unbuffered", "print-buffered"])
-    def test_reader_gone_before_output_ends_quietly(self, argv, unbuffered):
+    def test_reader_gone_before_output_ends_quietly(self, argv, unbuffered, child_env):
         # the read end is closed before the child starts, so its first write or flush breaks
         read_end, write_end = os.pipe()
         os.close(read_end)
-        env = dict(os.environ, PYTHONPATH=str(Path(hyperradial.__file__).parents[1]),
-                   PYTHONUNBUFFERED=unbuffered)
+        env = dict(child_env, PYTHONUNBUFFERED=unbuffered)
         try:
             child = subprocess.run([sys.executable, "-m", "hyperradial.cli", *argv], env=env,
                                    stdout=write_end, stderr=subprocess.PIPE, timeout=120)

@@ -208,6 +208,21 @@ class TestRadialGrid:
         with pytest.raises(DomainError, match="spacing"):
             RadialGrid(n_points=1024, spacing=spacing)
 
+    def test_outer_edge_must_be_finite(self):
+        # a finite spacing whose outer node 512 * 1e306 leaves double range
+        with pytest.raises(DomainError, match=r"r_max = n_points \* spacing must be finite"):
+            RadialGrid(512, 1e306)
+
+    @pytest.mark.parametrize("family, d", [(U0, 6), (U2, 30)])
+    def test_default_run_checks_no_radius(self, family, d, params, gate_calls):
+        # the nodes are valid once the grid is built, and the step policy and the
+        # propagation read the state and V_Q through the private kernels
+        state = make_state(family, d, params)
+        default_time_step(state, RadialGrid.for_state(state))
+        assert len(gate_calls) == 0
+        propagate_free(state)
+        assert len(gate_calls) == 0
+
     def test_for_state_trap_margin(self, params):
         state = make_state(U0, 6, params)
         grid = RadialGrid.for_state(state, 1024)
@@ -485,6 +500,16 @@ class TestPropagation:
             warnings.simplefilter("error")
             with pytest.raises(PreconditionError,
                                match=r"u2 profile at D=6, beta\*kappa=1e\+100 underflows on the grid"):
+                propagate_free(state, RadialGrid.for_state(state, 1024))
+
+    def test_profile_overflowing_on_the_grid_rejected(self):
+        # at kappa = 1e308 |u|^2 ~ kappa sums to inf over the nodes; the sampling names
+        # that before the step policy forms epsilon, and without a numpy warning
+        state = make_state(U0, 6, PhysicalParams(kappa=1e308, beta=1e-308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError,
+                               match=r"u0 profile at D=6, beta\*kappa=1 overflows on the grid"):
                 propagate_free(state, RadialGrid.for_state(state, 1024))
 
     def test_row_interchange_in_the_factorization_raises(self, params, monkeypatch):

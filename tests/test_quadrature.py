@@ -1,14 +1,11 @@
 import logging
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import hyperradial
 from hyperradial import (
     DomainError,
     PhysicalParams,
@@ -145,22 +142,20 @@ def test_float_conversion():
     assert float(res) == pytest.approx(2.0, rel=1e-13)
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
+def test_cli_import_leaves_scipy_integrate_unloaded(child_env):
     # QUADPACK is imported only when the fallback runs, LAPACK only by propagate_free,
     # and Bessel K and Lambert W are in-house: start-up loads no scipy module at all
-    env = dict(os.environ, PYTHONPATH=str(Path(hyperradial.__file__).parents[1]))
     code = ("import sys, hyperradial.cli; "
             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-c", code], env=child_env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 
-def test_energies_command_imports_no_scipy():
+def test_energies_command_imports_no_scipy(child_env):
     # -X importtime logs every module imported during the whole run, deferred ones included
-    env = dict(os.environ, PYTHONPATH=str(Path(hyperradial.__file__).parents[1]))
     argv = ["-m", "hyperradial.cli", "energies", "--family", "u2", "--D", "30"]
-    out = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env,
+    out = subprocess.run([sys.executable, "-X", "importtime", *argv], env=child_env,
                          capture_output=True, text=True, check=True)
     imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
                 if line.startswith("import time:")]

@@ -8,17 +8,12 @@ importing the `scipy` package or `scipy.linalg`.
 """
 
 import concurrent.futures
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import hyperradial
 from hyperradial import cli, scaling
-
-ENV = dict(os.environ, PYTHONPATH=str(Path(hyperradial.__file__).parents[1]))
 
 CLOSED_FORM_COMMANDS = [
     ["recipe", "--list"],
@@ -31,19 +26,19 @@ CLOSED_FORM_COMMANDS = [
 ]
 
 
-def test_cli_import_loads_neither_numpy_nor_concurrent_futures():
+def test_cli_import_loads_neither_numpy_nor_concurrent_futures(child_env):
     code = ("import sys, hyperradial.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('numpy', 'concurrent')))")
-    out = subprocess.run([sys.executable, "-c", code], env=ENV,
+    out = subprocess.run([sys.executable, "-c", code], env=child_env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv", CLOSED_FORM_COMMANDS, ids=" ".join)
-def test_closed_form_command_imports_no_numpy(argv):
+def test_closed_form_command_imports_no_numpy(argv, child_env):
     # -X importtime logs every module imported during the whole run, deferred ones included
     out = subprocess.run([sys.executable, "-X", "importtime", "-m", "hyperradial.cli", *argv],
-                         env=ENV, capture_output=True, text=True, check=True)
+                         env=child_env, capture_output=True, text=True, check=True)
     imported = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()
                 if line.startswith("import time:")]
     assert "hyperradial.scaling" in imported
@@ -57,7 +52,7 @@ def test_process_pool_name_is_looked_up_lazily(module):
         module.ThreadPoolExecutor
 
 
-def test_propagation_leaves_scipy_linalg_unimported():
+def test_propagation_leaves_scipy_linalg_unimported(child_env):
     code = ("import sys\n"
             "from hyperradial import cli, make_state, propagate_free, RadialGrid\n"
             "argv = ['propagate', '--family', 'u2', '--D', '30', '--n-points', '1024']\n"
@@ -65,7 +60,7 @@ def test_propagation_leaves_scipy_linalg_unimported():
             "state = make_state('u0', 6)\n"
             "propagate_free(state, RadialGrid.for_state(state, 1024), n_steps=4)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=ENV,
+    out = subprocess.run([sys.executable, "-c", code], env=child_env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "['scipy.linalg._flapack']"
 

@@ -1,5 +1,5 @@
 import math
-import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -54,22 +54,6 @@ def radial_functions(params: PhysicalParams) -> dict:
         "short_time_phase_state": lambda r: short_time_phase_state(state, 0.0, r),
         "u2_eigenstate_residual": lambda r: u2_eigenstate_residual(params, r),
     }
-
-
-@pytest.fixture
-def gate_calls(monkeypatch) -> list:
-    """The radii passed to `_as_positive_radius`, in every module that imports it."""
-    original = states._as_positive_radius
-    calls = []
-
-    def counting(r):
-        calls.append(r)
-        return original(r)
-
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("hyperradial") and vars(module).get("_as_positive_radius") is original:
-            monkeypatch.setattr(module, "_as_positive_radius", counting)
-    return calls
 
 
 def _middle(bad: float):
@@ -240,6 +224,17 @@ class TestEvaluation:
                 assert np.all(np.isfinite(np.asarray(values)))
             assert np.all(np.isfinite(np.asarray(state.u(r))))
             assert np.all(np.isfinite(np.asarray(state.psi(r))))
+
+    @pytest.mark.parametrize("r", [np.geomspace(0.02, 40, 97), 0.02], ids=["array", "scalar"])
+    def test_psi_beyond_double_range_raises(self, r, params):
+        # ln |Psi| of u2 at D=300 reaches 774 at r = 0.02: 1/sqrt(S_D) ~ 1e93 times r^-149.5
+        state = make_state(StateFamily.U2, 300, params)
+        assert np.all(np.isfinite(np.asarray(state.log_abs_psi(r))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError,
+                               match=r"\|Psi\| of u2 at D=300 overflows at r=0.02; use log_abs_psi"):
+                state.psi(r)
 
     @pytest.mark.parametrize("bad_r", [
         0.0, -1.0, float("nan"), math.inf, -math.inf,
