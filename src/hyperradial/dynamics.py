@@ -31,6 +31,28 @@ Both routines are loaded once per process by _tridiagonal_lapack, straight
 from scipy's _flapack extension: neither the scipy package nor scipy.linalg
 is imported.
 
+A step solves only the leading nodes the state occupies: every node where
+the sampled |u|^2 is at least eps^2 of its peak (eps the double epsilon,
+an amplitude eps times the peak's) and the first node past them.  The
+factors are those of the full grid; without pivoting the LU of a leading
+block is the leading part of the full LU, so sliced factors make the same
+Cayley step with its outer wall moved to the window's end, and the nodes
+past it hold zeros.  A node below that floor adds under eps^2 of the peak
+term to the norm and <p_r> sums, and the moved wall reaches the inner nodes
+through A^-1 only by about eps in amplitude, which can still reach an ulp
+of a sum: that the recorded doubles stay the same is measured, not proven
+(with the step policy's dt, every run of the benchmark's expansion pass
+and the CLI outputs compared in CHANGES.md are bit-identical to a full-grid
+run).  After every step the run reads the window's last node; a step that
+lifts its |u|^2 to the floor is redone on the full grid from the values
+before it, the new nodes starting from zero, and every later step solves
+every node.  So a large explicit dt, one step of which carries the tail past
+the window, still takes the full-grid step and meets the reflection check at
+the real wall.  The trap states' grids reach 12/kappa past the peak, so their
+outer third lies below the floor (u0 D=6 on 4096 points steps 67% of the
+nodes); a u2 grid ends 13 decades down in amplitude, above it, so a u2 run
+steps every node.
+
 The grid is n_points nodes r_j = (j + 1) h between Dirichlet walls at the
 origin and at (n_points + 1) h, so the profile has to vanish at the origin:
 u0 at D = 1, a half-Gaussian with u(0) = N0, is rejected.  Accuracy, not
@@ -49,6 +71,7 @@ every measured slope the same to 3 digits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING, Callable, Optional, TextIO
@@ -75,6 +98,7 @@ DEFAULT_N_POINTS = 4096
 REFLECTION_LIMIT = 1e-8
 NORM_DRIFT_LIMIT = 1e-4
 MIN_FIT_STEPS = 16  # fewest steps a default run takes, and spends inside fit_window
+_WINDOW_FLOOR = sys.float_info.epsilon**2  # |u|^2 / peak below which a node is not stepped
 
 
 def centrifugal_force(dim: HyperDimension, params: PhysicalParams, r: ArrayLike) -> ArrayLike:
@@ -329,9 +353,11 @@ def _tridiagonal_lapack() -> tuple[Callable, Callable]:
     return flapack.zgttrf, flapack.ztbtrs
 
 
-def _initial_profile(state: RadialState, r: np.ndarray, h: float) -> tuple[np.ndarray, float]:
-    """The state on the nodes r, normalized on the grid, and its peak |u|^2; PreconditionError
-    when it underflows or overflows there or the grid does not contain or resolve it."""
+def _initial_profile(state: RadialState, r: np.ndarray, h: float) -> tuple[np.ndarray, float, int]:
+    """The state on the nodes r, normalized on the grid, its peak |u|^2 and its window end;
+    PreconditionError when it underflows or overflows there or the grid does not contain or
+    resolve it.  The window is the leading nodes up to the first one past the last where
+    |u|^2 >= _WINDOW_FLOOR * peak; that first node past is the one the run watches."""
     import numpy as np
 
     with np.errstate(over="ignore"):  # an overflow is reported by the norm check below
@@ -357,7 +383,8 @@ def _initial_profile(state: RadialState, r: np.ndarray, h: float) -> tuple[np.nd
             "grid under-resolves the state: fewer than 20 points across the "
             "|u|^2 peak at half maximum"
         )
-    return u, peak
+    past_last = r.size - int(np.argmax(density[::-1] >= _WINDOW_FLOOR * peak))
+    return u, peak, min(past_last + 1, r.size)
 
 
 def propagate_free(
@@ -411,7 +438,7 @@ def propagate_free(
     if grid is None:
         grid = RadialGrid.for_state(state)
     r, h, n = grid.points(), grid.spacing, grid.n_points
-    u, peak_density = _initial_profile(state, r, h)
+    u, peak_density, m = _initial_profile(state, r, h)
     if dt is None:
         caps = _time_step_caps(state, grid)
         dt_cap = min(caps, key=caps.get)
@@ -427,7 +454,14 @@ def propagate_free(
 
     params = state.params
     hbar, mass, kappa = params.hbar, params.mass, params.kappa
-    kinetic = hbar**2 / (2.0 * mass * h**2)
+    try:
+        kinetic = hbar**2 / (2.0 * mass * h**2)
+    except ArithmeticError:  # h**2 overflows (h > 1) or underflows to 0
+        kinetic = 0.0 if h > 1.0 else math.inf
+    if not 0.0 < kinetic < math.inf:
+        raise OverflowError(f"the kinetic coupling hbar^2/(2 M h^2) "
+                            f"{'underflows' if h > 1.0 else 'overflows'} at spacing "
+                            f"h={h:g}, kappa={kappa:g} (hbar={hbar:g}, mass={mass:g})")
     potential = _v_q(state.dim, params, r)
     h_diag = 2.0 * kinetic + potential
     h_off = -kinetic
@@ -463,27 +497,40 @@ def propagate_free(
     def norm_of(vec: np.ndarray) -> float:
         return np.vdot(vec, vec).real * h
 
-    times = [0.0]
-    momenta = [p_r_mean(u)]
-    norms = [norm_of(u)]
+    # Nodes past the window hold zeros in u and y, so a step solves the leading m rows of
+    # the factors: without pivoting that is the same Cayley step with its wall moved to
+    # node m.  A step that lifts the watched node m - 1 to the floor is redone on every node.
+    floor = _WINDOW_FLOOR * peak_density
+    u[m:] = 0.0
+    y = np.zeros_like(u)
 
-    y = np.empty_like(u)
-    for step in range(1, n_steps + 1):
-        np.multiply(u, dinv, out=y)
+    def cayley_step(k: int, step: int) -> None:
+        # y[:k] = A^-1 B u[:k] with the Dirichlet wall at node k
+        y_k = np.multiply(u[:k], dinv[:k], out=y[:k])
         for uplo, band in (("L", lower), ("U", upper)):
-            y, info = tbtrs(band, y, uplo=uplo, diag="U", overwrite_b=1)
+            y_k, info = tbtrs(band[:, :k], y_k, uplo=uplo, diag="U", overwrite_b=1)
             if info != 0:
                 raise PropagationError(f"banded solve failed at step {step} (info={info})")
-        np.subtract(y, u, out=y)
+        np.subtract(y_k, u[:k], out=y[:k])
+
+    times = [0.0]
+    momenta = [p_r_mean(u[:m])]
+    norms = [norm_of(u[:m])]
+
+    for step in range(1, n_steps + 1):
+        cayley_step(m, step)
+        if m < n and abs(y[m - 1]) ** 2 >= floor:
+            m = n
+            cayley_step(m, step)
         u, y = y, u
         if progress is not None and step % progress_every == 0:
             if progress(step, n_steps) is False:
                 raise PropagationAborted(f"aborted by progress hook at step {step}/{n_steps}")
         if step % record_every == 0 or step == n_steps:
             t = step * dt
-            current_norm = norm_of(u)
+            current_norm = norm_of(u[:m])
             times.append(t)
-            momenta.append(p_r_mean(u))
+            momenta.append(p_r_mean(u[:m]))
             norms.append(current_norm)
             if abs(current_norm - norms[0]) > NORM_DRIFT_LIMIT:
                 raise PropagationError(

@@ -107,6 +107,19 @@ class TestInvalidScales:
         err = capsys.readouterr().err
         assert quantity in err and parameter in err, err
 
+    @pytest.mark.parametrize("kappa, spacing, flows", [("1e-160", "h=1.32499e+158", "underflows"),
+                                                       ("1e160", "h=1.32499e-162", "overflows")])
+    def test_kinetic_coupling_out_of_range_names_spacing_and_kappa(self, kappa, spacing, flows,
+                                                                   capsys):
+        # an explicit dt and n_steps skip the step policy, so epsilon is never formed;
+        # h**2 overflows (raised) or underflows to 0 (a division by zero) in hbar^2/(2 M h^2)
+        argv = ["propagate", "--family", "u0", "--D", "6", "--kappa", kappa,
+                "--n-points", "1024", "--dt", "1", "--n-steps", "16"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: the kinetic coupling hbar^2/(2 M h^2) {flows}")
+        assert spacing in err and f"kappa={float(kappa):g}" in err, err
+
     def test_non_finite_integrand_is_named_without_warnings(self, capsys):
         # beta*kappa = 1e-300 puts the u2 support window down to r ~ 1e-302, where
         # u''/u evaluates to inf - inf

@@ -660,6 +660,77 @@ class TestStepOracle:
         assert np.vdot(real[:-1], real[1:]).imag == 0.0
 
 
+@pytest.fixture
+def solved_lengths(monkeypatch) -> list:
+    """The length of every right-hand side the propagator's banded solves see, two per step."""
+    from hyperradial import dynamics
+
+    gttrf, tbtrs = dynamics._tridiagonal_lapack()
+    lengths = []
+
+    def recording_tbtrs(band, y, **kwargs):
+        lengths.append(y.shape[0])
+        return tbtrs(band, y, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_tridiagonal_lapack", lambda: (gttrf, recording_tbtrs))
+    return lengths
+
+
+class TestSolveWindow:
+    # a step solves only the nodes up to the first one past the last where |u|^2 >= eps^2 peak
+    def test_trap_state_steps_its_window_only(self, solved_lengths):
+        state = make_state(U1, 15)
+        grid = RadialGrid.for_state(state, 8192)  # peak + 12/kappa: the outer third is void
+        result = propagate_free(state, grid)
+        assert len(solved_lengths) == 2 * (len(result.times) - 1)
+        assert max(solved_lengths) < 0.75 * grid.n_points
+
+    def test_u2_steps_every_node(self, solved_lengths):
+        # the u2 grid ends 13 decades down in amplitude, well above eps
+        state = make_state(U2, 30)
+        grid = RadialGrid.for_state(state, 4096)
+        propagate_free(state, grid)
+        assert solved_lengths and set(solved_lengths) == {grid.n_points}
+
+    def test_widened_run_matches_full_grid_reference(self, solved_lengths, params):
+        # at dt = 2e-3 the tail reaches the window edge between the recorded steps
+        # 100 and 150, long before the reflection that test_reflection_abort triggers
+        state = make_state(U0, 6, params)
+        grid = RadialGrid.uniform(state.peak_radius() + 9.0, 1024)
+        dt, n_steps = 2e-3, 400
+        result = propagate_free(state, grid, dt, n_steps, record_every=50)
+        solves = solved_lengths[::2]  # one per solve of a step; the widening step has two
+        widened_at = solves.index(grid.n_points)  # that step's redo on every node
+        assert len(solves) == n_steps + 1 and solves[widened_at - 1] < grid.n_points
+        assert widened_at % 50 != 0 and set(solves[widened_at:]) == {grid.n_points}
+        momenta, norms = reference_cayley_run(state, grid, dt, n_steps)
+        recorded = np.arange(0, n_steps + 1, 50)
+        assert np.max(np.abs(result.p_r_mean - momenta[recorded])) <= 1e-12 * np.max(np.abs(momenta))
+        assert np.max(np.abs(result.norm - norms[recorded])) <= 1e-13
+
+    @pytest.mark.parametrize("dt, n_steps", [(1.0, 4), (3.0, 1), (10.0, 1)])
+    def test_large_explicit_dt_matches_full_grid_reference(self, dt, n_steps, params,
+                                                           solved_lengths):
+        # the first step carries the tail past the window edge: the step against the
+        # moved wall would reflect there, so it is redone on every node
+        state = make_state(U0, 6, params)
+        grid = RadialGrid.for_state(state, 1024)
+        result = propagate_free(state, grid, dt, n_steps)
+        solves = solved_lengths[::2]
+        assert solves[0] < grid.n_points and set(solves[1:]) == {grid.n_points}
+        momenta, norms = reference_cayley_run(state, grid, dt, n_steps)
+        assert np.max(np.abs(result.p_r_mean - momenta)) <= 1e-12 * np.max(np.abs(momenta))
+        assert np.max(np.abs(result.norm - norms)) <= 1e-13
+
+    def test_large_explicit_dt_still_hits_the_outer_wall(self, params):
+        # the second step at dt = 10 reaches the real wall; a run kept on the
+        # window would reflect off its edge instead and pass
+        state = make_state(U0, 6, params)
+        grid = RadialGrid.for_state(state, 1024)
+        with pytest.raises(PropagationError, match="reflection detected at t=20"):
+            propagate_free(state, grid, 10.0, 2)
+
+
 class TestScalingLawOverDimensions:
     # Three-point power-law fits of the slope over D in {30, 60, 120}.
     # The closed forms give alpha = 0.5045 for u0 and alpha = 2.0762 for u2
