@@ -391,9 +391,9 @@ RECIPES: dict[str, tuple[str, list[str]]] = {
 
 def _cmd_recipe(args: argparse.Namespace) -> int:
     if args.list or args.name is None:
-        for name, (description, argv) in sorted(RECIPES.items()):
-            print(f"{name}: {description}")
-            print(f"    hyperradial {' '.join(argv)}")
+        with _output_stream(args.output) as stream:
+            for name, (description, argv) in sorted(RECIPES.items()):
+                stream.write(f"{name}: {description}\n    hyperradial {' '.join(argv)}\n")
         return EXIT_OK
     if args.name not in RECIPES:
         raise DomainError(f"unknown recipe {args.name!r}; run `hyperradial recipe --list`")

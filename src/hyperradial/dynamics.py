@@ -102,29 +102,31 @@ _WINDOW_FLOOR = sys.float_info.epsilon**2  # |u|^2 / peak below which a node is 
 
 
 def centrifugal_force(dim: HyperDimension, params: PhysicalParams, r: ArrayLike) -> ArrayLike:
-    """Quantum centrifugal force F_Q(r) = -dV_Q/dr, in absolute units."""
-    return _scalar_like(r, _centrifugal_force(dim, params, _as_positive_radius(r)))
+    """Quantum centrifugal force F_Q(r) = -dV_Q/dr = eps kappa s/(2 x^3), in absolute units."""
+    x = params.kappa * _as_positive_radius(r)
+    return _scalar_like(r, params.epsilon() * params.kappa * _f_q(dim, x))
 
 
-def _centrifugal_force(dim: HyperDimension, params: PhysicalParams, arr: np.ndarray) -> np.ndarray:
-    return params.hbar**2 / (2.0 * params.mass) * dim.strength() / (2.0 * arr**3)
+def _f_q(dim: HyperDimension, x: np.ndarray) -> np.ndarray:
+    # F_Q in units of kappa*epsilon, written in x = kappa r
+    return dim.strength() / (2.0 * x**3)
 
 
 def raman_nath_slope(state: RadialState) -> float:
     """Initial momentum growth rate d<p_r>/dt at t=0, in units of hbar*kappa per time.
 
-    Computed as the quadrature of F_Q |u|^2 over the state's support; by
-    Ehrenfest's theorem this equals the initial slope of <p_r>(t) whenever
-    the profile vanishes fast enough at the origin (all families at D >= 4).
-    F_Q is integrated in units of kappa*eps, where the absolute tolerance holds.
+    Computed as the quadrature of F_Q |u|^2 over the state's support, with F_Q in
+    units of kappa*eps, s/(2 x^3) in x = kappa r.  By Ehrenfest's theorem this is
+    the initial slope of <p_r>(t) whenever u'(0) = 0 (every family at D >= 4).  It
+    is the F_Q moment alone and omits the wall term (hbar^2/2M) u'(0)^2 of the
+    reduced radial problem, which u0 at D = 3 keeps: its slope reads 0, while the
+    free Gaussian expands at (4/sqrt(pi)) eps/hbar.
     """
     if state.dim.strength() == 0:
         return 0.0
     _check_inverse_moment(state, 3)
-    params = state.params
-    unit = params.kappa * params.epsilon()
-    moment = state.expectation(lambda r: _centrifugal_force(state.dim, params, r) / unit).value
-    return moment * (params.epsilon() / params.hbar)
+    moment = state.expectation(lambda r: _f_q(state.dim, state.params.kappa * r)).value
+    return moment * (state.params.epsilon() / state.params.hbar)
 
 
 def raman_nath_slope_closed(state: RadialState) -> float:
@@ -132,7 +134,9 @@ def raman_nath_slope_closed(state: RadialState) -> float:
 
     u0, u1 (r^a exp(-kappa^2 r^2/2)): s / (2 (a-1)) * Gamma(a)/Gamma(a+1/2) * eps/hbar
     u2: s / (2 (beta kappa)^(3/2)) * K2/K1(2 sqrt(beta kappa)) * eps/hbar
-    with s = (D-1)(D-3) and a = (D-1)/2 for u0, (D+3)/2 for u1.
+    with s = (D-1)(D-3) and a = (D-1)/2 for u0, (D+3)/2 for u1.  Like the
+    quadrature, it is the Ehrenfest F_Q moment and omits the wall term
+    (hbar^2/2M) u'(0)^2: 0 for u0 at D = 3, whose measured slope is (4/sqrt(pi)) eps/hbar.
     """
     strength = state.dim.strength()
     if strength == 0:
@@ -220,8 +224,6 @@ class RadialGrid:
 
 def _time_step_caps(state: RadialState, grid: RadialGrid) -> dict[str, float]:
     # the caps of the default step by name, in the order that names a tie
-    import numpy as np
-
     params = state.params
     window = fit_window(state)  # names an epsilon out of range before h^2 can overflow
     caps = {
@@ -230,8 +232,8 @@ def _time_step_caps(state: RadialState, grid: RadialGrid) -> dict[str, float]:
         f"fit_window/{MIN_FIT_STEPS}": window / MIN_FIT_STEPS,
     }
     if state.dim.strength() != 0:
-        r_edge = np.asarray(max(grid.r_min, state.support(drop_decades=6.0)[0]))
-        caps["centrifugal"] = 0.1 * params.hbar / abs(float(_v_q(state.dim, params, r_edge)))
+        x_edge = params.kappa * max(grid.r_min, state.support(drop_decades=6.0)[0])
+        caps["centrifugal"] = 0.1 * params.hbar / abs(params.epsilon() * _v_q(state.dim, x_edge))
     return caps
 
 
@@ -462,7 +464,7 @@ def propagate_free(
         raise OverflowError(f"the kinetic coupling hbar^2/(2 M h^2) "
                             f"{'underflows' if h > 1.0 else 'overflows'} at spacing "
                             f"h={h:g}, kappa={kappa:g} (hbar={hbar:g}, mass={mass:g})")
-    potential = _v_q(state.dim, params, r)
+    potential = params.epsilon() * _v_q(state.dim, kappa * r)
     h_diag = 2.0 * kinetic + potential
     h_off = -kinetic
 
@@ -561,16 +563,13 @@ def propagate_free(
 
 
 def bohm_quantum_potential(state: RadialState, r: ArrayLike) -> ArrayLike:
-    """State-dependent potential W(r) = -(hbar^2/2M) u''(r)/u(r).
+    """State-dependent potential W(r) = -(hbar^2/2M) u''(r)/u(r) = -eps c(x), x = kappa r.
 
     Enters the short-time phase but drops out of <p_r> for real initial
     profiles that vanish at the origin.
     """
-    return _scalar_like(r, _bohm_quantum_potential(state, _as_positive_radius(r)))
-
-
-def _bohm_quantum_potential(state: RadialState, arr: np.ndarray) -> np.ndarray:
-    return -state.params.hbar**2 / (2.0 * state.params.mass) * state._u_second_over_u(arr)
+    x = state.params.kappa * _as_positive_radius(r)
+    return _scalar_like(r, -state.params.epsilon() * state._curvature(x))
 
 
 def short_time_phase_state(state: RadialState, t: float, r: ArrayLike) -> np.ndarray:
@@ -586,13 +585,15 @@ def short_time_phase_state(state: RadialState, t: float, r: ArrayLike) -> np.nda
     arr = _as_positive_radius(r)
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
-    params = state.params
+    kappa, rate = state.params.kappa, state.params.epsilon() / state.params.hbar
+
+    def phase_rate(radius: np.ndarray) -> np.ndarray:
+        x = kappa * radius  # [W + V_Q] / hbar = (eps/hbar) (s/(4 x^2) - c(x))
+        return rate * (_v_q(state.dim, x) - state._curvature(x))
+
     # the peak radius, or the support's inner edge for u0 at D = 1, is positive
     r_peak = np.asarray(state.peak_radius() or state.support()[0])
-    phase_scale = abs(
-        float(_bohm_quantum_potential(state, r_peak))
-        + float(_v_q(state.dim, params, r_peak))
-    ) * abs(t) / params.hbar
+    phase_scale = abs(float(phase_rate(r_peak)) * t)
     if phase_scale > 0.5:
         raise PreconditionError(
             f"short-time approximation invalid: |[W+V_Q] t/hbar| = {phase_scale:.3g} > 0.5 at the peak"
@@ -600,6 +601,5 @@ def short_time_phase_state(state: RadialState, t: float, r: ArrayLike) -> np.nda
     log_u = state._log_u(arr)
     mask = log_u > float(state._log_u(r_peak)) + math.log(1e-12)
     amplitude = np.where(mask, np.exp(log_u), 0.0)
-    phase = np.where(mask, -(_bohm_quantum_potential(state, arr) + _v_q(state.dim, params, arr))
-                     * t / params.hbar, 0.0)
+    phase = np.where(mask, -phase_rate(arr) * t, 0.0)
     return amplitude * np.exp(1j * phase)

@@ -44,12 +44,13 @@ QUADRATURE = "quadrature"
 
 
 def v_q(dim: HyperDimension, params: PhysicalParams, r: ArrayLike) -> ArrayLike:
-    """Quantum centrifugal potential V_Q(r) in absolute energy units."""
-    return _scalar_like(r, _v_q(dim, params, _as_positive_radius(r)))
+    """Quantum centrifugal potential V_Q(r) = eps s/(4 x^2), x = kappa r, in absolute units."""
+    return _scalar_like(r, params.epsilon() * _v_q(dim, params.kappa * _as_positive_radius(r)))
 
 
-def _v_q(dim: HyperDimension, params: PhysicalParams, arr: np.ndarray) -> np.ndarray:
-    return params.hbar**2 / (2.0 * params.mass) * dim.strength() / (4.0 * arr**2)
+def _v_q(dim: HyperDimension, x: np.ndarray) -> np.ndarray:
+    # V_Q in units of epsilon, written in x = kappa r
+    return dim.strength() / (4.0 * x**2)
 
 
 def _trap_order(family: StateFamily, dim: HyperDimension) -> float:
@@ -94,27 +95,23 @@ def _check_inverse_moment(state: RadialState, power: int) -> None:
 def t_r_quadrature(state: RadialState) -> float:
     """T_r by adaptive quadrature of -u u'' (analytic u''), in units of epsilon.
 
-    The weight is integrated in units of epsilon, where the absolute tolerance holds.
+    The weight is -u''/u in units of kappa^2, -c(x) in x = kappa r, which is T_r's
+    integrand in units of epsilon in every unit system.
     """
     _check_inverse_moment(state, 2)
-    prefactor = state.params.hbar**2 / (2.0 * state.params.mass) / state.params.epsilon()
-
-    def weight(r: np.ndarray) -> np.ndarray:
-        return -prefactor * state._u_second_over_u(r)  # r was checked by the density's log_u
-
-    return state.expectation(weight).value
+    return state.expectation(lambda r: -state._curvature(state.params.kappa * r)).value
 
 
 def t_v_quadrature(state: RadialState) -> float:
     """T_V by adaptive quadrature of V_Q |u|^2, in units of epsilon.
 
-    Exactly zero (no quadrature) when the strength (D-1)(D-3) vanishes.
+    The weight is V_Q / eps = s/(4 x^2) in x = kappa r.  Exactly zero (no
+    quadrature) when the strength s = (D-1)(D-3) vanishes.
     """
     if state.dim.strength() == 0:
         return 0.0
     _check_inverse_moment(state, 2)
-    eps = state.params.epsilon()
-    return state.expectation(lambda r: _v_q(state.dim, state.params, r) / eps).value
+    return state.expectation(lambda r: _v_q(state.dim, state.params.kappa * r)).value
 
 
 @dataclass(frozen=True)

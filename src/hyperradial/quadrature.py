@@ -142,14 +142,14 @@ def integrate(
 def integrate_radial(f: Callable[[np.ndarray], np.ndarray], r_lo: float, r_hi: float) -> QuadResult:
     """Integrate f(r) dr over [r_lo, r_hi] in the log variable s = ln r.
 
-    Both bounds must be strictly positive, and the tolerance is
+    Both bounds must be strictly positive and finite, and the tolerance is
     DEFAULT_TOLERANCE.  A QuadratureError names the radial window as well as
     the interval in s.  The substitution maps the integrand to f(e^s) e^s,
     which decays at double-exponential rate for all three wave-function
     families and is the form the tanh-sinh rule is most efficient on.
     """
-    if r_lo <= 0 or r_hi <= 0:
-        raise DomainError(f"radial bounds must be positive, got [{r_lo}, {r_hi}]")
+    if not (0 < r_lo < math.inf and 0 < r_hi < math.inf):  # also rejects NaN
+        raise DomainError(f"radial bounds must be positive and finite, got r in [{r_lo}, {r_hi}]")
     import numpy as np
 
     def g(s: np.ndarray) -> np.ndarray:

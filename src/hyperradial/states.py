@@ -187,32 +187,30 @@ class RadialState:
     def norm_constant(self) -> float:
         return math.exp(self.log_norm)
 
-    # -- evaluation -----------------------------------------------------
+    # -- evaluation, written in x = kappa r (order one on the support at any kappa) --
 
     def _log_u(self, arr: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        kappa = self.params.kappa
+        x = self.params.kappa * arr
         if self.family is StateFamily.U2:
-            return self.log_norm - 0.5 * (self.params.beta / arr + kappa * arr)
-        a = _trap_power(self.family, self.dim)
-        return self.log_norm + a * np.log(arr) - 0.5 * (kappa * arr) ** 2
+            return self.log_norm - 0.5 * (self.params.beta_kappa / x + x)
+        return self.log_norm + _trap_power(self.family, self.dim) * np.log(arr) - 0.5 * x**2
 
     def _d_log_u(self, arr: np.ndarray) -> np.ndarray:
         kappa = self.params.kappa
+        x = kappa * arr
         if self.family is StateFamily.U2:
-            return 0.5 * self.params.beta / arr**2 - 0.5 * kappa
-        a = _trap_power(self.family, self.dim)
-        return a / arr - kappa**2 * arr
+            return kappa * (0.5 * self.params.beta_kappa / x**2 - 0.5)
+        return kappa * (_trap_power(self.family, self.dim) / x - x)
 
-    def _u_second_over_u(self, arr: np.ndarray) -> np.ndarray:
-        kappa = self.params.kappa
+    def _curvature(self, x: np.ndarray) -> np.ndarray:
+        """c(x) = u''/u in units of kappa^2, written in x = kappa r."""
         if self.family is StateFamily.U2:
-            beta = self.params.beta
-            return (beta**2 / (4.0 * arr**4) - beta * kappa / (2.0 * arr**2)
-                    - beta / arr**3 + kappa**2 / 4.0)
+            b = self.params.beta_kappa
+            return b**2 / (4.0 * x**4) - b / (2.0 * x**2) - b / x**3 + 0.25
         a = _trap_power(self.family, self.dim)
-        return a * (a - 1.0) / arr**2 - kappa**2 * (2.0 * a + 1.0) + kappa**4 * arr**2
+        return a * (a - 1.0) / x**2 - (2.0 * a + 1.0) + x**2
 
     def log_u(self, r: ArrayLike) -> ArrayLike:
         """ln u(r); u is strictly positive for r > 0 in all three families."""
@@ -225,12 +223,13 @@ class RadialState:
         return _scalar_like(r, np.exp(self.log_u(r)))
 
     def d_log_u(self, r: ArrayLike) -> ArrayLike:
-        """Logarithmic derivative u'(r)/u(r)."""
+        """Logarithmic derivative u'(r)/u(r): kappa (a/x - x), or kappa (b/(2 x^2) - 1/2) for u2."""
         return _scalar_like(r, self._d_log_u(_as_positive_radius(r)))
 
     def u_second_over_u(self, r: ArrayLike) -> ArrayLike:
-        """Analytic curvature ratio u''(r)/u(r), used by the energy oracle."""
-        return _scalar_like(r, self._u_second_over_u(_as_positive_radius(r)))
+        """Analytic curvature ratio u''(r)/u(r) = kappa^2 c(kappa r)."""
+        kappa = self.params.kappa
+        return _scalar_like(r, kappa**2 * self._curvature(kappa * _as_positive_radius(r)))
 
     def log_abs_psi(self, r: ArrayLike) -> ArrayLike:
         """ln |Psi(r)| of the full D-dimensional wave function."""
@@ -338,10 +337,7 @@ class RadialState:
         missing = expected - set(config)
         if missing:
             raise DomainError(f"missing state-config keys: {sorted(missing)}")
-        try:
-            family = StateFamily(config["family"])
-        except ValueError as exc:
-            raise DomainError(f"unknown family {config['family']!r}") from exc
+        family = _family(config["family"])
         for name in ("kappa", "beta_kappa"):
             _require_positive(name, config[name])
         kappa, beta_kappa = float(config["kappa"]), float(config["beta_kappa"])
@@ -349,58 +345,60 @@ class RadialState:
         return cls(family=family, dim=HyperDimension(config["D"]), params=params)
 
 
+def _family(tag: StateFamily | str) -> StateFamily:
+    try:
+        return StateFamily(tag)
+    except ValueError:
+        raise DomainError(f"unknown family {tag!r}; expected one of "
+                          f"{', '.join(repr(f.value) for f in StateFamily)}") from None
+
+
 def make_state(family: StateFamily | str, d: int, params: PhysicalParams | None = None) -> RadialState:
     """Convenience constructor accepting the family tag as a plain string."""
-    fam = family if isinstance(family, StateFamily) else StateFamily(str(family))
-    return RadialState(family=fam, dim=HyperDimension(d), params=params or PhysicalParams())
+    return RadialState(family=_family(family), dim=HyperDimension(d), params=params or PhysicalParams())
 
 
 def eigen_potential_v2(params: PhysicalParams, r: ArrayLike) -> ArrayLike:
     """Potential V2(r) for which u2 is a zero-energy bound eigenstate.
 
-    V2(r) = (hbar^2/2M) [ beta^2/(4 r^4) - beta*kappa/(2 r^2) - beta/r^3 + (kappa/2)^2 ];
-    independent of D by construction, approaching (hbar^2/2M)(kappa/2)^2 as r -> inf.
+    V2 = eps [ b^2/(4 x^4) - b/(2 x^2) - b/x^3 + 1/4 ] in x = kappa r, b = beta kappa;
+    independent of D by construction, approaching eps/4 as r -> inf.
     """
     return _scalar_like(r, _eigen_potential_v2(params, _as_positive_radius(r)))
 
 
 def _eigen_potential_v2(params: PhysicalParams, arr: np.ndarray) -> np.ndarray:
-    beta, kappa = params.beta, params.kappa
-    prefactor = params.hbar**2 / (2.0 * params.mass)
-    return prefactor * (
-        beta**2 / (4.0 * arr**4)
-        - beta * kappa / (2.0 * arr**2)
-        - beta / arr**3
-        + (kappa / 2.0) ** 2
-    )
+    # its own formula, not RadialState._curvature: u2_eigenstate_residual checks u2 against it
+    b, x = params.beta_kappa, params.kappa * arr
+    return params.epsilon() * (b**2 / (4.0 * x**4) - b / (2.0 * x**2) - b / x**3 + 0.25)
 
 
 def u2_eigenstate_residual(params: PhysicalParams, r: ArrayLike) -> float:
     """Residual of the zero-energy equation u2'' - (2M/hbar^2) V2 u2 = 0.
 
-    The curvature is taken from a 5-point finite-difference stencil with a
-    locally scaled step (never from the analytic second derivative), so
-    this is an independent check that u2 really solves its Schroedinger
-    equation with E = 0.  Returns max|residual| / max|u2''| over the given
-    radii; the scan normalizer follows the convention of quoting residuals
-    against the largest curvature in the window.
+    The equation is taken in x = kappa r, where it reads d^2u2/dx^2 = (V2/eps) u2,
+    so that it holds wherever eps is a normal double.  The curvature is taken
+    from a 5-point finite-difference stencil with a locally scaled step (never
+    from the analytic second derivative), so this is an independent check that
+    u2 really solves its Schroedinger equation with E = 0.  Returns max|residual|
+    / max|u2''| over the given radii; the scan normalizer follows the convention
+    of quoting residuals against the largest curvature in the window.
     """
     import numpy as np
 
     arr = _as_positive_radius(r)
     state = RadialState(family=StateFamily.U2, dim=HyperDimension(3), params=params)
 
-    # local variation scale of u2; the step must resolve it, and h <= r/400 keeps
-    # every stencil radius r +- 2h positive
-    local_rate = np.abs(state._d_log_u(arr)) + 2.0 / arr + params.kappa
+    # step in x: the local variation scale of u2 in x must resolve it, and h <= x/400
+    # keeps every stencil radius r +- 2h/kappa positive
+    local_rate = np.abs(state._d_log_u(arr)) / params.kappa + 2.0 / (params.kappa * arr) + 1.0
     h = RESIDUAL_STEP_SCALE / local_rate
 
     stencil = np.zeros_like(arr)
     for offset, weight in ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0)):
-        stencil += weight * np.exp(state._log_u(arr + offset * h))
+        stencil += weight * np.exp(state._log_u(arr + offset * h / params.kappa))
     u_second_fd = stencil / (12.0 * h**2)
 
-    coupling = 2.0 * params.mass / params.hbar**2
-    potential_term = coupling * _eigen_potential_v2(params, arr) * np.exp(state._log_u(arr))
+    potential_term = _eigen_potential_v2(params, arr) / params.epsilon() * np.exp(state._log_u(arr))
     residual = np.max(np.abs(u_second_fd - potential_term))
     return float(residual / np.max(np.abs(u_second_fd)))

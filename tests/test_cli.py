@@ -58,6 +58,16 @@ class TestEnergiesCommand:
         assert main(["energies", "--family", "u0", "--D", "6", "--output", str(out)]) == 2
         assert "error: cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "u2", "--D", "30", "--kappa", "1e-100"],
+        ["--family", "u0", "--D", "6", "--kappa", "1e150"],
+        ["--family", "u1", "--D", "9", "--kappa", "1e100"],
+    ])
+    def test_quadrature_holds_far_from_unit_kappa(self, argv, capsys):
+        assert main(["energies", *argv]) == 0
+        rows = read_csv_rows(capsys.readouterr().out)
+        assert all(float(row["rel_deviation"]) <= 1e-8 for row in rows), rows
+
 
 class TestInvalidScales:
     @pytest.mark.parametrize("flag", ["--kappa", "--beta-kappa"])
@@ -487,6 +497,14 @@ class TestRecipeCommand:
         assert main(["recipe", "--list"]) == 0
         out = capsys.readouterr().out
         assert "tv-quadratic" in out and "sqrt-slope" in out
+
+    def test_list_writes_output_file(self, tmp_path, capsys):
+        assert main(["recipe", "--list"]) == 0
+        listed = capsys.readouterr().out
+        out = tmp_path / "recipes.txt"
+        assert main(["recipe", "--list", "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == listed
 
     def test_unknown(self, capsys):
         assert main(["recipe", "does-not-exist"]) == 2

@@ -367,6 +367,15 @@ class TestShortTimePhaseState:
         with pytest.raises(PreconditionError):
             short_time_phase_state(state, 10.0, np.array([1.0]))
 
+    def test_finite_far_from_unit_kappa(self):
+        # u''/u at kappa = 1e100 would need kappa^4 = 1e400 in r; in x = kappa r it is c(x)
+        params = PhysicalParams(kappa=1e100, beta=1e-100)
+        state = make_state(U0, 6, params)
+        r = np.linspace(0.5, 3.0, 7) / params.kappa
+        values = short_time_phase_state(state, 0.05 * params.hbar / params.epsilon(), r)
+        assert np.isfinite(values).all() and np.all(np.abs(values) > 0)
+        np.testing.assert_allclose(np.abs(values), np.asarray(state.u(r)), rtol=1e-12)
+
     def test_bohm_potential_sign_and_shape(self, params):
         # W = -(1/2) u''/u is positive where the profile is concave down
         state = make_state(U0, 6, params)

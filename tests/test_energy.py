@@ -279,3 +279,16 @@ class TestQuadratureUnits:
         assert t_r_quadrature(state) == pytest.approx(t_r_closed(family, state.dim, params), rel=1e-8)
         assert t_v_quadrature(state) == pytest.approx(t_v_closed(family, state.dim, params), rel=1e-8)
         assert raman_nath_slope(state) == pytest.approx(raman_nath_slope_closed(state), rel=1e-8)
+
+    @pytest.mark.parametrize("kappa", [1e-150, 1e-80, 1e80, 1e150])
+    @pytest.mark.parametrize("family, d", [(U0, 30), (U1, 9), (U2, 30)])
+    def test_matches_closed_forms_far_from_unit_kappa(self, family, d, kappa):
+        # the kernels are written in x = kappa r, so kappa^4, r^-4 and r^3 never form:
+        # every kappa at which epsilon is a normal double gives the unit-kappa numbers
+        from hyperradial import raman_nath_slope, raman_nath_slope_closed
+
+        params = PhysicalParams(kappa=kappa, beta=1.0 / kappa)
+        state = RadialState(family=family, dim=HyperDimension(d), params=params)
+        assert t_r_quadrature(state) == pytest.approx(t_r_closed(family, state.dim, params), rel=1e-10)
+        assert t_v_quadrature(state) == pytest.approx(t_v_closed(family, state.dim, params), rel=1e-10)
+        assert raman_nath_slope(state) == pytest.approx(raman_nath_slope_closed(state), rel=1e-10)

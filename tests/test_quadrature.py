@@ -61,6 +61,12 @@ def test_radial_requires_positive_bounds():
         integrate_radial(lambda r: r, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("r_lo, r_hi", [(1.0, math.inf), (math.nan, 1.0), (1.0, math.nan)])
+def test_radial_rejects_non_finite_bounds_naming_r(r_lo, r_hi):
+    with pytest.raises(DomainError, match=rf"r in \[{r_lo}, {r_hi}\]"):
+        integrate_radial(lambda r: r, r_lo, r_hi)
+
+
 def test_rejects_infinite_bounds():
     with pytest.raises(DomainError):
         integrate(lambda x: np.exp(-x * x), 0.0, math.inf)

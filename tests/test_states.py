@@ -333,6 +333,13 @@ class TestEigenPotential:
         radii = np.geomspace(0.1, 10.0, 200)
         assert u2_eigenstate_residual(params, radii) <= 1e-8
 
+    @pytest.mark.parametrize("kappa", [1e-100, 1e100])
+    def test_u2_zero_energy_residual_far_from_unit_kappa(self, kappa):
+        # beta^2/r^4 and r^4 leave double range here; b^2/x^4 in x = kappa r does not
+        params = PhysicalParams(kappa=kappa, beta=1.0 / kappa)
+        radii = np.geomspace(0.1, 10.0, 200) / kappa
+        assert u2_eigenstate_residual(params, radii) <= 1e-8
+
     def test_confining_potential_reduces_to_v2_at_d3(self, params):
         # V_Q vanishes at D=3, so V2 - V_Q is V2 itself
         r = np.geomspace(0.2, 5.0, 20)
@@ -436,6 +443,12 @@ class TestSerialization:
     def test_bad_family_rejected(self):
         with pytest.raises(DomainError, match="family"):
             RadialState.from_config({"family": "u9", "D": 6, "kappa": 1.0, "beta_kappa": 1.0})
+
+    @pytest.mark.parametrize("family", ["u3", None])
+    def test_make_state_names_an_unknown_family_and_the_choices(self, family):
+        with pytest.raises(DomainError, match=f"unknown family {family!r}; "
+                                              "expected one of 'u0', 'u1', 'u2'"):
+            make_state(family, 6)
 
     @settings(max_examples=40, deadline=None)
     @given(
