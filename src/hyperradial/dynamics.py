@@ -125,7 +125,7 @@ def raman_nath_slope(state: RadialState) -> float:
     if state.dim.strength() == 0:
         return 0.0
     _check_inverse_moment(state, 3)
-    moment = state.expectation(lambda r: _f_q(state.dim, state.params.kappa * r)).value
+    moment = state._expectation_in_x(lambda x: _f_q(state.dim, x)).value
     return moment * (state.params.epsilon() / state.params.hbar)
 
 
@@ -209,12 +209,8 @@ class RadialGrid:
         sqrt(D)/kappa); the exponential-tailed u2 gets the radius at which
         its amplitude has dropped 13 decades below peak.
         """
-        kappa = state.params.kappa
-        if state.family is StateFamily.U2:
-            r_outer = state.peak_radius() + 2.0 * 13.0 * math.log(10.0) / kappa
-        else:
-            r_outer = state.peak_radius() + 12.0 / kappa
-        return cls.uniform(r_outer, n_points)
+        width = 2.0 * 13.0 * math.log(10.0) if state.family is StateFamily.U2 else 12.0
+        return cls.uniform((state._in_x.peak_radius() + width) / state.params.kappa, n_points)
 
     def points(self) -> np.ndarray:
         import numpy as np
@@ -232,7 +228,7 @@ def _time_step_caps(state: RadialState, grid: RadialGrid) -> dict[str, float]:
         f"fit_window/{MIN_FIT_STEPS}": window / MIN_FIT_STEPS,
     }
     if state.dim.strength() != 0:
-        x_edge = params.kappa * max(grid.r_min, state.support(drop_decades=6.0)[0])
+        x_edge = max(params.kappa * grid.r_min, state._in_x.support(drop_decades=6.0)[0])
         caps["centrifugal"] = 0.1 * params.hbar / abs(params.epsilon() * _v_q(state.dim, x_edge))
     return caps
 

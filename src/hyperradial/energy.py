@@ -95,11 +95,10 @@ def _check_inverse_moment(state: RadialState, power: int) -> None:
 def t_r_quadrature(state: RadialState) -> float:
     """T_r by adaptive quadrature of -u u'' (analytic u''), in units of epsilon.
 
-    The weight is -u''/u in units of kappa^2, -c(x) in x = kappa r, which is T_r's
-    integrand in units of epsilon in every unit system.
+    The weight is -u''/u in units of kappa^2, -c(x) in x = kappa r, in every unit system.
     """
     _check_inverse_moment(state, 2)
-    return state.expectation(lambda r: -state._curvature(state.params.kappa * r)).value
+    return state._expectation_in_x(lambda x: -state._curvature(x)).value
 
 
 def t_v_quadrature(state: RadialState) -> float:
@@ -111,7 +110,7 @@ def t_v_quadrature(state: RadialState) -> float:
     if state.dim.strength() == 0:
         return 0.0
     _check_inverse_moment(state, 2)
-    return state.expectation(lambda r: _v_q(state.dim, state.params.kappa * r)).value
+    return state._expectation_in_x(lambda x: _v_q(state.dim, x)).value
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Union
 
 from .core import DomainError, HyperDimension, PhysicalParams, QuadratureError, _require_positive
@@ -187,6 +188,12 @@ class RadialState:
     def norm_constant(self) -> float:
         return math.exp(self.log_norm)
 
+    @cached_property
+    def _in_x(self) -> "RadialState":
+        """This family and D at hbar = M = kappa = 1, where r is x = kappa r (trap shapes ignore beta)."""
+        beta = self.params.beta_kappa if self.family is StateFamily.U2 else 1.0
+        return RadialState(family=self.family, dim=self.dim, params=PhysicalParams(beta=beta))
+
     # -- evaluation, written in x = kappa r (order one on the support at any kappa) --
 
     def _log_u(self, arr: np.ndarray) -> np.ndarray:
@@ -254,16 +261,13 @@ class RadialState:
     # -- geometry of the profile ----------------------------------------
 
     def peak_radius(self) -> float:
-        """argmax of u(r): sqrt(a)/kappa for the trap states, sqrt(beta/kappa) for u2.
+        """argmax of u(r): sqrt(a)/kappa for the trap states, sqrt(beta kappa)/kappa for u2.
 
         For u0 at D = 1 the profile is a half-Gaussian whose supremum sits
         at the origin; 0.0 is returned in that case.
         """
-        kappa = self.params.kappa
-        if self.family is StateFamily.U2:
-            return math.sqrt(self.params.beta / kappa)
-        a = _trap_power(self.family, self.dim)
-        return math.sqrt(a) / kappa if a > 0 else 0.0
+        x2 = self.params.beta_kappa if self.family is StateFamily.U2 else _trap_power(self.family, self.dim)
+        return math.sqrt(x2) / self.params.kappa if x2 > 0 else 0.0  # x2 = (kappa r_peak)^2
 
     def support(self, drop_decades: float = SUPPORT_DROP_DECADES) -> tuple[float, float]:
         """Window [r_lo, r_hi] outside which u is `drop_decades` decades below peak.
@@ -292,25 +296,28 @@ class RadialState:
         return r_lo, r_hi
 
     def expectation(self, weight: Callable[[np.ndarray], ArrayLike] | None = None) -> QuadResult:
-        """Quadrature of int weight(r) |u|^2 dr over the support window (weight 1 if None).
+        """Quadrature of int weight(r) |u|^2 dr over the support window (weight 1 if None)."""
+        return self._expectation_in_x(None if weight is None else lambda x: weight(x / self.params.kappa))
 
-        Raises QuadratureError when the window rounds to zero width in s = ln r,
-        where the integral would come out as an exact 0.
-        """
+    def _expectation_in_x(self, weight: Callable[[np.ndarray], ArrayLike] | None = None) -> QuadResult:
+        """int weight(x) |u|^2 dr, x = kappa r, by quadrature in x on the kappa = 1 twin, the same
+        at every kappa; QuadratureError, naming the window in r, where the window rounds to
+        zero width in s = ln x and the integral would come out as an exact 0."""
         import numpy as np
 
-        r_lo, r_hi = self.support()
-        if not math.log(r_lo) < math.log(r_hi):
+        x_lo, x_hi = self._in_x.support()
+        if not math.log(x_lo) < math.log(x_hi):
+            r_lo, r_hi = self.support()
             raise QuadratureError(
                 f"the support window r in [{r_lo:.6g}, {r_hi:.6g}] of {self.family.value} at "
                 f"D={self.dim.d}, beta*kappa={self.params.beta_kappa:g} has no width in s = ln r"
             )
 
-        def integrand(r: np.ndarray) -> np.ndarray:
-            density = np.exp(2.0 * np.asarray(self.log_u(r)))
-            return density if weight is None else np.asarray(weight(r)) * density
+        def integrand(x: np.ndarray) -> np.ndarray:
+            density = np.exp(2.0 * np.asarray(self._in_x.log_u(x)))
+            return density if weight is None else np.asarray(weight(x)) * density
 
-        return integrate_radial(integrand, r_lo, r_hi)
+        return integrate_radial(integrand, x_lo, x_hi)
 
     def normalization_integral(self) -> QuadResult:
         """Quadrature of int |u|^2 dr over the support window; must be 1."""
@@ -364,41 +371,39 @@ def eigen_potential_v2(params: PhysicalParams, r: ArrayLike) -> ArrayLike:
     V2 = eps [ b^2/(4 x^4) - b/(2 x^2) - b/x^3 + 1/4 ] in x = kappa r, b = beta kappa;
     independent of D by construction, approaching eps/4 as r -> inf.
     """
-    return _scalar_like(r, _eigen_potential_v2(params, _as_positive_radius(r)))
+    x = params.kappa * _as_positive_radius(r)
+    return _scalar_like(r, params.epsilon() * _eigen_potential_v2(params.beta_kappa, x))
 
 
-def _eigen_potential_v2(params: PhysicalParams, arr: np.ndarray) -> np.ndarray:
-    # its own formula, not RadialState._curvature: u2_eigenstate_residual checks u2 against it
-    b, x = params.beta_kappa, params.kappa * arr
-    return params.epsilon() * (b**2 / (4.0 * x**4) - b / (2.0 * x**2) - b / x**3 + 0.25)
+def _eigen_potential_v2(b: float, x: np.ndarray) -> np.ndarray:
+    # V2/eps in x, its own formula, not RadialState._curvature: the residual checks u2 against it
+    return b**2 / (4.0 * x**4) - b / (2.0 * x**2) - b / x**3 + 0.25
 
 
 def u2_eigenstate_residual(params: PhysicalParams, r: ArrayLike) -> float:
     """Residual of the zero-energy equation u2'' - (2M/hbar^2) V2 u2 = 0.
 
-    The equation is taken in x = kappa r, where it reads d^2u2/dx^2 = (V2/eps) u2,
-    so that it holds wherever eps is a normal double.  The curvature is taken
-    from a 5-point finite-difference stencil with a locally scaled step (never
-    from the analytic second derivative), so this is an independent check that
-    u2 really solves its Schroedinger equation with E = 0.  Returns max|residual|
-    / max|u2''| over the given radii; the scan normalizer follows the convention
-    of quoting residuals against the largest curvature in the window.
+    The equation is taken in x = kappa r on u2's kappa = 1 twin, where it reads
+    d^2u2/dx^2 = (V2/eps) u2, so one x gives one stencil at every kappa.  The
+    curvature is taken from a 5-point finite-difference stencil with a locally
+    scaled step (never from the analytic second derivative), so this is an
+    independent check that u2 really solves its Schroedinger equation with E = 0.
+    Returns max|residual| / max|u2''| over the given radii; the scan normalizer
+    follows the convention of quoting residuals against the largest curvature.
     """
     import numpy as np
 
-    arr = _as_positive_radius(r)
-    state = RadialState(family=StateFamily.U2, dim=HyperDimension(3), params=params)
+    x = params.kappa * _as_positive_radius(r)
+    twin = RadialState(family=StateFamily.U2, dim=HyperDimension(3), params=params)._in_x
 
-    # step in x: the local variation scale of u2 in x must resolve it, and h <= x/400
-    # keeps every stencil radius r +- 2h/kappa positive
-    local_rate = np.abs(state._d_log_u(arr)) / params.kappa + 2.0 / (params.kappa * arr) + 1.0
-    h = RESIDUAL_STEP_SCALE / local_rate
+    # h resolves the local variation scale of u2 in x, and h <= x/400 keeps x +- 2h positive
+    h = RESIDUAL_STEP_SCALE / (np.abs(twin._d_log_u(x)) + 2.0 / x + 1.0)
 
-    stencil = np.zeros_like(arr)
+    stencil = np.zeros_like(x)
     for offset, weight in ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0)):
-        stencil += weight * np.exp(state._log_u(arr + offset * h / params.kappa))
+        stencil += weight * np.exp(twin._log_u(x + offset * h))
     u_second_fd = stencil / (12.0 * h**2)
 
-    potential_term = _eigen_potential_v2(params, arr) / params.epsilon() * np.exp(state._log_u(arr))
+    potential_term = _eigen_potential_v2(params.beta_kappa, x) * np.exp(twin._log_u(x))
     residual = np.max(np.abs(u_second_fd - potential_term))
     return float(residual / np.max(np.abs(u_second_fd)))
