@@ -324,8 +324,9 @@ def _check_energies(args: argparse.Namespace) -> tuple[bool, str]:
 def _check_eigenstate(args: argparse.Namespace) -> tuple[bool, str]:
     import numpy as np
 
-    radii = np.geomspace(0.1, 10.0, 400)
-    residual = u2_eigenstate_residual(PhysicalParams(), radii)
+    radii = np.geomspace(0.1, 10.0, 400)  # in x = kappa r, at kappa across the range of eps
+    residual = _worst([u2_eigenstate_residual(PhysicalParams(kappa=kappa, beta=1.0 / kappa), radii / kappa)
+                       for kappa in (1.0, 1e-150, 1e150)])
     return residual <= 1e-8, f"max relative residual = {residual:.3e}"
 
 

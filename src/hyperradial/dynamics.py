@@ -112,6 +112,14 @@ def _f_q(dim: HyperDimension, x: np.ndarray) -> np.ndarray:
     return dim.strength() / (2.0 * x**3)
 
 
+def _checked_slope(slope: float, params: PhysicalParams) -> float:
+    # factor * eps/hbar is a float product, which returns inf where the slope overflows
+    if math.isinf(slope):
+        raise OverflowError(f"the Raman-Nath slope overflows at kappa={params.kappa:g} "
+                            f"(hbar={params.hbar:g}, mass={params.mass:g})")
+    return slope
+
+
 def raman_nath_slope(state: RadialState) -> float:
     """Initial momentum growth rate d<p_r>/dt at t=0, in units of hbar*kappa per time.
 
@@ -126,7 +134,7 @@ def raman_nath_slope(state: RadialState) -> float:
         return 0.0
     _check_inverse_moment(state, 3)
     moment = state._expectation_in_x(lambda x: _f_q(state.dim, x)).value
-    return moment * (state.params.epsilon() / state.params.hbar)
+    return _checked_slope(moment * (state.params.epsilon() / state.params.hbar), state.params)
 
 
 def raman_nath_slope_closed(state: RadialState) -> float:
@@ -160,14 +168,14 @@ def raman_nath_slope_closed(state: RadialState) -> float:
     else:
         a = _trap_power(state.family, state.dim)
         factor = strength / (2.0 * (a - 1.0)) * gamma_ratio(a, a + 0.5)
-    return factor * eps_over_hbar
+    return _checked_slope(factor * eps_over_hbar, state.params)
 
 
 def asymptotic_slope_u0u1(dim: HyperDimension, params: PhysicalParams) -> float:
     """Large-D slope law sqrt(2D) * eps/hbar shared by u0 and u1 (units hbar*kappa/time)."""
     if dim.d < 30:
         raise PreconditionError(f"sqrt(2D) slope law needs D >= 30, got D={dim.d}")
-    return math.sqrt(2.0 * dim.d) * params.epsilon() / params.hbar
+    return _checked_slope(math.sqrt(2.0 * dim.d) * params.epsilon() / params.hbar, params)
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,7 @@ def log_norm_constant(family: StateFamily, dim: HyperDimension, params: Physical
     kappa = params.kappa
     if family is StateFamily.U2:
         bk = params.beta_kappa
+        _require_positive("beta*kappa", bk)  # beta * kappa can leave double range
         zeta = 2.0 * math.sqrt(bk)
         return -0.25 * math.log(bk) + 0.5 * (math.log(kappa) - math.log(2.0) - _log_k1(zeta))
     # int r^(2a) exp(-kappa^2 r^2) dr = Gamma(b) / (2 kappa^(2b)) with b = a + 1/2
@@ -190,9 +191,10 @@ class RadialState:
 
     @cached_property
     def _in_x(self) -> "RadialState":
-        """This family and D at hbar = M = kappa = 1, where r is x = kappa r (trap shapes ignore beta)."""
-        beta = self.params.beta_kappa if self.family is StateFamily.U2 else 1.0
-        return RadialState(family=self.family, dim=self.dim, params=PhysicalParams(beta=beta))
+        """This family and D at hbar = M = kappa = 1, where r is x = kappa r (trap shapes ignore
+        beta); the state itself where its parameters are already those."""
+        params = PhysicalParams(beta=self.params.beta_kappa if self.family is StateFamily.U2 else 1.0)
+        return self if params == self.params else RadialState(family=self.family, dim=self.dim, params=params)
 
     # -- evaluation, written in x = kappa r (order one on the support at any kappa) --
 

@@ -111,6 +111,8 @@ class TestInvalidScales:
          "epsilon = (hbar*kappa)^2/(2M) underflows", "kappa=1e-170"),
         (["propagate", "--family", "u0", "--D", "6", "--kappa", "1e-160", "--n-points", "1024"],
          "epsilon = (hbar*kappa)^2/(2M) underflows", "kappa=1e-160"),
+        (["scaling", "--quantity", "slope", "--family", "u2", "--N", "2:12", "--kappa", "1e153"],
+         "the Raman-Nath slope overflows", "kappa=1e+153"),
     ])
     def test_overflow_names_quantity_and_parameter(self, argv, quantity, parameter, capsys):
         assert main(argv) == 3
@@ -154,6 +156,12 @@ class TestInvalidScales:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: the support window r in [1e+150, 1e+150]"), err
         assert "beta*kappa=1e+300" in err, err
+
+    def test_empty_support_window_names_the_window_in_r(self, capsys):
+        code = main(["energies", "--family", "u2", "--D", "6", "--beta-kappa", "1e300", "--kappa", "1e10"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the support window r in [1e+140, 1e+140]"), err
 
     def test_u2_slope_underflow_names_quantity_and_parameter(self, capsys):
         argv = ["scaling", "--quantity", "slope", "--family", "u2", "--N", "2:20",

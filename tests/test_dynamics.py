@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -133,6 +134,19 @@ class TestRamanNathSlope:
         state = make_state(U2, 6, PhysicalParams(kappa=1.0, beta=1e-200))
         with pytest.raises(OverflowError, match=r"u2 slope overflows at beta\*kappa=1e-200"):
             raman_nath_slope_closed(state)
+
+    @pytest.mark.parametrize("family, d, kappa", [(U0, 30, 1e154), (U2, 30, 1e153)])
+    def test_slope_overflow_names_slope_and_kappa(self, family, d, kappa):
+        # eps (5e307 and 5e305) and the slope in units of eps/hbar (7.7 and 710) are
+        # finite; their product is not
+        state = make_state(family, d, PhysicalParams(kappa=kappa, beta=1.0 / kappa))
+        slopes = [raman_nath_slope, raman_nath_slope_closed]
+        if family is U0:  # the large-D law sqrt(2D) eps/hbar as well
+            slopes.append(lambda state: asymptotic_slope_u0u1(state.dim, state.params))
+        message = re.escape(f"Raman-Nath slope overflows at kappa={kappa:g}")
+        for slope in slopes:
+            with pytest.raises(OverflowError, match=message):
+                slope(state)
 
     def test_u0_d2_diverges(self, params):
         state = make_state(U0, 2, params)

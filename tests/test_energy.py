@@ -292,3 +292,27 @@ class TestQuadratureUnits:
         assert t_r_quadrature(state) == pytest.approx(t_r_closed(family, state.dim, params), rel=1e-10)
         assert t_v_quadrature(state) == pytest.approx(t_v_closed(family, state.dim, params), rel=1e-10)
         assert raman_nath_slope(state) == pytest.approx(raman_nath_slope_closed(state), rel=1e-10)
+
+    @pytest.mark.parametrize("family, d", [(U0, 300), (U1, 3000), (U2, 30)])
+    def test_quadrature_is_the_same_at_every_kappa(self, family, d):
+        # every quadrature runs on the kappa = 1 twin, so no ln(kappa) enters it: at
+        # kappa = 1e+-150 the numbers are those of kappa = 1, the slope in units of eps/hbar
+        from hyperradial import raman_nath_slope
+
+        def numbers(kappa):
+            params = PhysicalParams(kappa=kappa, beta=1.0 / kappa)
+            state = RadialState(family=family, dim=HyperDimension(d), params=params)
+            return (t_r_quadrature(state), t_v_quadrature(state),
+                    raman_nath_slope(state) / (params.epsilon() / params.hbar),
+                    state.normalization_integral().value)
+
+        reference = numbers(1.0)
+        for kappa in (1e-150, 1e150):
+            assert numbers(kappa) == pytest.approx(reference, rel=1e-15, abs=0), kappa
+
+    def test_trap_twin_does_not_depend_on_beta(self):
+        # beta*kappa = 1e350 leaves double range, but no trap profile depends on beta
+        params = PhysicalParams(kappa=1e150, beta=1e200)
+        report = energy_report(make_state(U0, 6, params), QUADRATURE)
+        assert report.t_r == pytest.approx(1.125, rel=1e-12)
+        assert report.t_v == pytest.approx(1.875, rel=1e-12)

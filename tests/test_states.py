@@ -279,7 +279,8 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("family, d", [(StateFamily.U2, 6), (StateFamily.U1, 9)])
     def test_one_radius_gate_per_integrand_evaluation(self, family, d, params, gate_calls, monkeypatch):
-        # the density's log_u checks the quadrature nodes; the weights take them as checked
+        # the density's log_u checks the quadrature nodes; the weights take them as checked.
+        # The nodes are those of the kappa = 1 twin, the same at kappa = 1e100
         integrate_radial, evaluations = states.integrate_radial, []
 
         def counting_integrate(f, r_lo, r_hi):
@@ -289,18 +290,24 @@ class TestEvaluation:
             return integrate_radial(integrand, r_lo, r_hi)
 
         monkeypatch.setattr(states, "integrate_radial", counting_integrate)
-        state = make_state(family, d, params)
+        far = PhysicalParams(kappa=1e100, beta=params.beta_kappa / 1e100)
+        assert far.beta_kappa == params.beta_kappa
         runs = {
-            "normalization_integral": state.normalization_integral,
-            "energy_report": lambda: energy_report(state, QUADRATURE),
-            "raman_nath_slope": lambda: raman_nath_slope(state),
+            "normalization_integral": lambda state: state.normalization_integral(),
+            "energy_report": lambda state: energy_report(state, QUADRATURE),
+            "raman_nath_slope": raman_nath_slope,
         }
         for name, run in runs.items():
-            gate_calls.clear()
-            evaluations.clear()
-            run()
-            assert evaluations and len(gate_calls) == len(evaluations), (
-                name, len(gate_calls), len(evaluations))
+            nodes = []
+            for state_params in (params, far):
+                gate_calls.clear()
+                evaluations.clear()
+                run(make_state(family, d, state_params))
+                assert evaluations and len(gate_calls) == len(evaluations), (
+                    name, len(gate_calls), len(evaluations))
+                nodes.append(list(evaluations))
+            assert len(nodes[0]) == len(nodes[1]), name
+            assert all(np.array_equal(a, b) for a, b in zip(*nodes)), name
 
     def test_curvature_matches_finite_differences(self, params):
         # u'' has zeros, so compare on an absolute scale set by the largest
@@ -333,12 +340,13 @@ class TestEigenPotential:
         radii = np.geomspace(0.1, 10.0, 200)
         assert u2_eigenstate_residual(params, radii) <= 1e-8
 
-    @pytest.mark.parametrize("kappa", [1e-100, 1e100])
+    @pytest.mark.parametrize("kappa", [1e-150, 1e-100, 1e100, 1e150])
     def test_u2_zero_energy_residual_far_from_unit_kappa(self, kappa):
-        # beta^2/r^4 and r^4 leave double range here; b^2/x^4 in x = kappa r does not
+        # beta^2/r^4 and r^4 leave double range here; b^2/x^4 in x = kappa r does not, and
+        # the stencil on the kappa = 1 twin carries no ln(kappa) of the norm constant
         params = PhysicalParams(kappa=kappa, beta=1.0 / kappa)
         radii = np.geomspace(0.1, 10.0, 200) / kappa
-        assert u2_eigenstate_residual(params, radii) <= 1e-8
+        assert u2_eigenstate_residual(params, radii) <= 1e-9
 
     def test_confining_potential_reduces_to_v2_at_d3(self, params):
         # V_Q vanishes at D=3, so V2 - V_Q is V2 itself
@@ -388,6 +396,19 @@ class TestSupportWindow:
         assert state.support() == (1e150, 1e150)
         with pytest.raises(QuadratureError, match=r"r in \[1e\+150, 1e\+150\].*beta\*kappa=1e\+300"):
             state.normalization_integral()
+
+    def test_window_without_width_names_the_window_in_r(self):
+        # the quadrature runs on the kappa = 1 twin, whose window is x in [1e150, 1e150]
+        state = RadialState(family=StateFamily.U2, dim=HyperDimension(6),
+                            params=PhysicalParams(kappa=1e10, beta=1e290))
+        with pytest.raises(QuadratureError, match=r"r in \[1e\+140, 1e\+140\].*beta\*kappa=1e\+300"):
+            state.normalization_integral()
+
+    @pytest.mark.parametrize("kappa, beta", [(1e200, 1e200), (1e-200, 1e-200)])
+    def test_u2_beta_kappa_out_of_range(self, kappa, beta):
+        # beta and kappa are finite and positive, their product overflows or underflows
+        with pytest.raises(DomainError, match=r"beta\*kappa must be positive and finite"):
+            make_state(StateFamily.U2, 6, PhysicalParams(kappa=kappa, beta=beta))
 
 
 class TestLambertW:
