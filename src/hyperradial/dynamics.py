@@ -24,8 +24,11 @@ A/2 outweighs its off-diagonal, so the LU factors (LAPACK zgttrf) need no row
 interchange, and a factorization that made one raises PropagationError.
 Writing U = D U1 and L1 = D^-1 L D, a step scales u by 1/d and makes two
 unit-diagonal bidiagonal solves in place (LAPACK ztbtrs), with no pivot test
-or division per row.  The observables are one vdot each: the norm is
-h * <u, u>, and with zero walls the central-difference <p_r> is
+or division per row.  One (2, n) band holds both factors: the U1
+superdiagonal in row 0 and the L1 subdiagonal in row 1, each row where the
+other factor keeps its unit diagonal, which ztbtrs never reads.  A recorded
+sample is one (t, <p_r>, norm) tuple, and its observables are one vdot each:
+the norm is h * <u, u>, and with zero walls the central-difference <p_r> is
 hbar Im sum conj(u_j) u_(j+1), which is exactly zero for a real profile.
 Both routines are loaded once per process by _tridiagonal_lapack, straight
 from scipy's _flapack extension: neither the scipy package nor scipy.linalg
@@ -418,7 +421,8 @@ def propagate_free(
         Defaults to enough steps to cover :func:`fit_window`, at least
         MIN_FIT_STEPS.
     record_every : int
-        Sampling stride for the returned time series.
+        Sampling stride for the returned time series, which also holds t = 0
+        and the last step.
     progress : callable, optional
         Polled every ``progress_every`` steps with (step, n_steps); return
         False to abort the run (raises PropagationAborted).
@@ -478,30 +482,28 @@ def propagate_free(
     # at least 1.75 K (V_Q attractive at D = 2), its off-diagonal K.  With U = D U1 and
     # L1 = D^-1 L D, each step solves L1 U1 y = u / d by two in-place unit-diagonal
     # banded solves (LAPACK ztbtrs, kd = 1)
-    dl = np.full(n - 1, 0.5 * alpha * h_off, dtype=np.complex128)
+    off = np.full(n - 1, 0.5 * alpha * h_off, dtype=np.complex128)
     dd = 0.5 + 0.5 * alpha * h_diag.astype(np.complex128)
-    du = dl.copy()
     gttrf, tbtrs = _tridiagonal_lapack()
-    dl_f, d_f, du_f, du2_f, ipiv, info = gttrf(dl, dd, du)
+    dl_f, d_f, du_f, du2_f, ipiv, info = gttrf(off, dd, off)
     if info != 0:
         raise PropagationError(f"tridiagonal factorization failed (LAPACK info={info})")
     if not np.array_equal(ipiv, np.arange(1, n + 1)) or du2_f.any():
         raise PropagationError("tridiagonal factorization interchanged rows; the "
                                "Crank-Nicolson step needs a pivot-free LU")
     dinv = 1.0 / d_f
-    # LAPACK band storage (ldab = 2, column-major): the unit diagonal is never read
-    lower = np.ones((2, n), dtype=np.complex128, order="F")
-    lower[1, :-1] = dl_f * d_f[:-1] / d_f[1:]
-    upper = np.ones((2, n), dtype=np.complex128, order="F")
-    upper[0, 1:] = du_f / d_f[:-1]
+    # One LAPACK band (ldab = 2, column-major) holds both unit factors: row 0 the U1
+    # superdiagonal, which uplo="U" reads, row 1 the L1 subdiagonal, which uplo="L"
+    # reads.  Each row is the other factor's diagonal, never read under diag="U"
+    band = np.zeros((2, n), dtype=np.complex128, order="F")
+    band[0, 1:] = du_f / d_f[:-1]
+    band[1, :-1] = dl_f * d_f[:-1] / d_f[1:]
 
-    def p_r_mean(vec: np.ndarray) -> float:
-        # central-difference d/dr between zero walls: sum conj(u_j)(u_{j+1} - u_{j-1})
-        # is S - conj(S) with S = sum conj(u_j) u_{j+1}, so a real profile gives exactly zero
-        return np.vdot(vec[:-1], vec[1:]).imag / kappa
-
-    def norm_of(vec: np.ndarray) -> float:
-        return np.vdot(vec, vec).real * h
+    def observe(t: float, vec: np.ndarray) -> tuple[float, float, float]:
+        # (t, <p_r>, norm).  Central-difference d/dr between zero walls: sum conj(u_j)
+        # (u_{j+1} - u_{j-1}) is S - conj(S) with S = sum conj(u_j) u_{j+1}, so a real
+        # profile gives exactly zero
+        return t, np.vdot(vec[:-1], vec[1:]).imag / kappa, np.vdot(vec, vec).real * h
 
     # Nodes past the window hold zeros in u and y, so a step solves the leading m rows of
     # the factors: without pivoting that is the same Cayley step with its wall moved to
@@ -513,16 +515,13 @@ def propagate_free(
     def cayley_step(k: int, step: int) -> None:
         # y[:k] = A^-1 B u[:k] with the Dirichlet wall at node k
         y_k = np.multiply(u[:k], dinv[:k], out=y[:k])
-        for uplo, band in (("L", lower), ("U", upper)):
+        for uplo in "LU":
             y_k, info = tbtrs(band[:, :k], y_k, uplo=uplo, diag="U", overwrite_b=1)
             if info != 0:
                 raise PropagationError(f"banded solve failed at step {step} (info={info})")
         np.subtract(y_k, u[:k], out=y[:k])
 
-    times = [0.0]
-    momenta = [p_r_mean(u[:m])]
-    norms = [norm_of(u[:m])]
-
+    samples = [observe(0.0, u[:m])]
     for step in range(1, n_steps + 1):
         cayley_step(m, step)
         if m < n and abs(y[m - 1]) ** 2 >= floor:
@@ -533,12 +532,9 @@ def propagate_free(
             if progress(step, n_steps) is False:
                 raise PropagationAborted(f"aborted by progress hook at step {step}/{n_steps}")
         if step % record_every == 0 or step == n_steps:
-            t = step * dt
-            current_norm = norm_of(u[:m])
-            times.append(t)
-            momenta.append(p_r_mean(u[:m]))
-            norms.append(current_norm)
-            if abs(current_norm - norms[0]) > NORM_DRIFT_LIMIT:
+            samples.append(observe(step * dt, u[:m]))
+            t, _, current_norm = samples[-1]
+            if abs(current_norm - samples[0][2]) > NORM_DRIFT_LIMIT:
                 raise PropagationError(
                     f"norm drifted to {current_norm:.12f} at t={t:.6g} "
                     f"(limit {NORM_DRIFT_LIMIT:g}); the run is untrustworthy"
@@ -555,10 +551,11 @@ def propagate_free(
     except (DomainError, DivergentIntegralError):
         analytic = math.nan
 
+    times, p_r_mean, norm = map(np.asarray, zip(*samples))
     return PropagationResult(
-        times=np.asarray(times),
-        p_r_mean=np.asarray(momenta),
-        norm=np.asarray(norms),
+        times=times,
+        p_r_mean=p_r_mean,
+        norm=norm,
         analytic_slope=analytic,
         grid=grid,
         dt=dt,

@@ -159,9 +159,14 @@ def fermion_trap_energy(n: int, params: PhysicalParams) -> FermionTrapEnergy:
     floating point for any practical N).
     """
     n = _require_integer("particle count", n, 1)
-    quantum = params.hbar * params.omega
     ladder = math.fsum(j + 0.5 for j in range(n))
-    return FermionTrapEnergy(summed=ladder * quantum, closed=(0.5 * n * n) * quantum)
+    return FermionTrapEnergy(summed=ladder * (params.hbar * params.omega),
+                             closed=_fermion_closed(n, params))
+
+
+def _fermion_closed(n: int, params: PhysicalParams) -> float:
+    # N^2 hbar Omega / 2, the closed form of the filled ladder
+    return (0.5 * n * n) * (params.hbar * params.omega)
 
 
 def energy_scaling_table(
@@ -173,18 +178,19 @@ def energy_scaling_table(
 ) -> ScalingTable:
     """Kinetic energy (in units of epsilon) per particle number, with exponent.
 
-    `component` selects "total", "t_r" or "t_v".  Expect an exponent of
+    `component` selects "total", "t_r" or "t_v", and a row evaluates only the
+    closed forms its component sums.  Expect an exponent of
     ~1 for u0/u1 and ~2 for u2.  `jobs` is accepted and has no effect: every
     table here is a closed form evaluated in microseconds per row, serially.
     """
-    if component not in ("total", "t_r", "t_v"):
+    closed_forms = {"total": (t_r_closed, t_v_closed), "t_r": (t_r_closed,), "t_v": (t_v_closed,)}
+    if component not in closed_forms:
         raise DomainError(f"unknown energy component {component!r}")
     ns = [_require_integer("N", n, 2) for n in n_values]
     values = []
     for n in ns:
         dim = HyperDimension(3 * n)
-        t_r, t_v = t_r_closed(family, dim, params), t_v_closed(family, dim, params)
-        values.append({"total": t_r + t_v, "t_r": t_r, "t_v": t_v}[component])
+        values.append(sum(closed(family, dim, params) for closed in closed_forms[component]))
     quantity = "energy" if component == "total" else component
     return _build_table(ns, values, units="epsilon", quantity=quantity, family=family)
 
@@ -211,8 +217,10 @@ def fermion_scaling_table(
     """Exact N^2 hbar Omega / 2 reference column (fit exponent 2 to round-off).
 
     Every value is an exact power of N, so the fitted exponent is 2 within a
-    few ulps and its error is round-off (below 1e-15).  `jobs` has no effect.
+    few ulps and its error is round-off (below 1e-15).  A row takes the closed
+    form alone, not the O(N) summed ladder of :func:`fermion_trap_energy`.
+    `jobs` has no effect.
     """
     ns = [_require_integer("N", n, 1) for n in n_values]
-    values = [fermion_trap_energy(n, params).closed for n in ns]
+    values = [_fermion_closed(n, params) for n in ns]
     return _build_table(ns, values, units="hbar*omega", quantity="fermion", family=None)

@@ -607,6 +607,19 @@ class TestPropagation:
         assert lines[1] == "natural,hbar*kappa,dimensionless"
         assert len(lines) == 2 + len(result.times)
 
+    def test_recording_keeps_the_evolution_and_its_schedule(self, params):
+        # samples at every record_every-th step and the last one, the same doubles as
+        # the stride-1 run at those steps
+        state = make_state(U0, 6, params)
+        grid = RadialGrid.for_state(state, 1024)
+        dt = default_time_step(state, grid)
+        every = propagate_free(state, grid, dt, 10)
+        for record_every, steps in ((3, [0, 3, 6, 9, 10]), (20, [0, 10])):
+            result = propagate_free(state, grid, dt, 10, record_every=record_every)
+            assert np.array_equal(result.times, dt * np.array(steps))
+            assert np.array_equal(result.p_r_mean, every.p_r_mean[steps])
+            assert np.array_equal(result.norm, every.norm[steps])
+
     def test_deterministic(self, params):
         state = make_state(U2, 30, params)
         grid = RadialGrid.for_state(state, 1024)
@@ -681,6 +694,33 @@ class TestStepOracle:
         assert np.vdot(u[:-1], u[1:]).imag == pytest.approx(0.5 * explicit.imag, rel=1e-12)
         real = rng.normal(size=257).astype(complex)
         assert np.vdot(real[:-1], real[1:]).imag == 0.0
+
+
+class TestFactorBand:
+    # one (2, n) band holds both unit factors: the U1 superdiagonal in row 0, the L1
+    # subdiagonal in row 1, each where the other factor keeps its never-read unit diagonal
+    @pytest.mark.parametrize("uplo", ["L", "U"])
+    def test_unit_solve_reads_only_its_own_factor(self, uplo):
+        from hyperradial import dynamics
+
+        _, tbtrs = dynamics._tridiagonal_lapack()
+        rng = np.random.default_rng(7)
+        n = 64
+        off = 0.5 * (rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1))
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        own, cols = (0, slice(1, None)) if uplo == "U" else (1, slice(None, -1))
+        clean = np.zeros((2, n), dtype=np.complex128, order="F")
+        clean[1 - own] = 1.0  # the other factor's row, here the unit diagonal it stands for
+        clean[own, cols] = off
+        poisoned = clean.copy(order="F")
+        poisoned[1 - own] = np.nan
+        poisoned[0, 0] = poisoned[1, -1] = np.nan
+        x_clean, info_clean = tbtrs(clean, b.copy(), uplo=uplo, diag="U")
+        x_poisoned, info_poisoned = tbtrs(poisoned, b.copy(), uplo=uplo, diag="U")
+        assert info_clean == info_poisoned == 0
+        assert x_clean.tobytes() == x_poisoned.tobytes()
+        factor = np.eye(n) + np.diag(off, 1 if uplo == "U" else -1)
+        assert np.allclose(factor @ x_clean, b, rtol=1e-12, atol=0.0)
 
 
 @pytest.fixture

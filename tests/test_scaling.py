@@ -7,6 +7,7 @@ import pytest
 
 from hyperradial import (
     DomainError,
+    HyperDimension,
     PhysicalParams,
     ScalingRow,
     ScalingTable,
@@ -16,6 +17,8 @@ from hyperradial import (
     fermion_trap_energy,
     fit_power_law,
     slope_scaling_table,
+    t_r_closed,
+    t_v_closed,
 )
 from hyperradial.cli import RECIPES, _parse_n_range, build_parser
 
@@ -140,6 +143,24 @@ class TestEnergyScaling:
         with pytest.raises(DomainError):
             energy_scaling_table(U0, [1] + list(range(10, 20)), params)
 
+    @pytest.mark.parametrize("component, closed, unused", [
+        ("t_v", t_v_closed, "t_r_closed"),
+        ("t_r", t_r_closed, "t_v_closed"),
+    ])
+    def test_component_evaluates_only_its_closed_form(self, component, closed, unused, params,
+                                                      monkeypatch):
+        # u2's T_r is a K2/K1 ratio per row, which a t_v table has no use for
+        from hyperradial import scaling
+
+        def unused_closed_form(*args):
+            raise AssertionError(f"the {component} table evaluated {unused}")
+
+        monkeypatch.setattr(scaling, unused, unused_closed_form)
+        table = energy_scaling_table(U2, range(2, 12), params, component=component)
+        assert [row.value for row in table.rows] == [
+            closed(U2, HyperDimension(3 * n), params) for n in range(2, 12)
+        ]
+
 
 class TestSlopeScaling:
     def test_u0_square_root(self, params):
@@ -203,6 +224,20 @@ class TestFermionScalingTable:
         table = fermion_scaling_table(np.arange(1, 12), params)
         assert [row.n for row in table.rows] == list(range(1, 12))
         assert all(type(row.n) is int for row in table.rows)
+
+    def test_rows_skip_the_summed_ladder(self, params, monkeypatch):
+        # the ladder is an fsum of N terms per row, which made a table of N rows O(N^2)
+        fsum, terms = math.fsum, []
+
+        def counting_fsum(iterable):
+            items = list(iterable)
+            terms.append(len(items))
+            return fsum(items)
+
+        monkeypatch.setattr(math, "fsum", counting_fsum)
+        table = fermion_scaling_table(range(1, 1001), params)
+        assert [row.value for row in table.rows] == [0.5 * n * n for n in range(1, 1001)]
+        assert sum(terms) <= 5 * len(table.rows)  # the power-law fit's five sums over the rows
 
     def test_jobs_parallel_matches_serial(self, params):
         serial = fermion_scaling_table(range(1, 41), params, jobs=1)
