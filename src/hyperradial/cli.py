@@ -78,7 +78,7 @@ def _parse_n_range(text: str) -> list[int]:
             return list(range(start, stop + 1))
         if len(parts) == 3:
             start, stop, step = int(parts[0]), int(parts[1]), int(parts[2])
-            return list(range(start, stop + 1, step))
+            return list(range(start, stop + (1 if step > 0 else -1), step))
     except ValueError:
         pass
     raise DomainError(f"cannot parse N range {text!r}; expected start:stop[:step]")

@@ -221,7 +221,7 @@ class RadialGrid:
         its amplitude has dropped 13 decades below peak.
         """
         width = 2.0 * 13.0 * math.log(10.0) if state.family is StateFamily.U2 else 12.0
-        return cls.uniform((state._in_x.peak_radius() + width) / state.params.kappa, n_points)
+        return cls.uniform((state._peak_x() + width) / state.params.kappa, n_points)
 
     def points(self) -> np.ndarray:
         import numpy as np
@@ -239,7 +239,7 @@ def _time_step_caps(state: RadialState, grid: RadialGrid) -> dict[str, float]:
         f"fit_window/{MIN_FIT_STEPS}": window / MIN_FIT_STEPS,
     }
     if state.dim.strength() != 0:
-        x_edge = max(params.kappa * grid.r_min, state._in_x.support(drop_decades=6.0)[0])
+        x_edge = max(params.kappa * grid.r_min, state._support_x(6.0)[0])
         caps["centrifugal"] = 0.1 * params.hbar / abs(params.epsilon() * _v_q(state.dim, x_edge))
     return caps
 
@@ -587,20 +587,17 @@ def short_time_phase_state(state: RadialState, t: float, r: ArrayLike) -> np.nda
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
     kappa, rate = state.params.kappa, state.params.epsilon() / state.params.hbar
-
-    def phase_rate(radius: np.ndarray) -> np.ndarray:
-        x = kappa * radius  # [W + V_Q] / hbar = (eps/hbar) (s/(4 x^2) - c(x))
-        return rate * (_v_q(state.dim, x) - state._curvature(x))
-
-    # the peak radius, or the support's inner edge for u0 at D = 1, is positive
-    r_peak = np.asarray(state.peak_radius() or state.support()[0])
-    phase_scale = abs(float(phase_rate(r_peak)) * t)
+    x = kappa * arr
+    # the peak, or the support's inner edge for u0 at D = 1, is positive
+    x_peak = np.asarray(state._peak_x() or state._support_x()[0])
+    # [W + V_Q] / hbar = (eps/hbar) (s/(4 x^2) - c(x))
+    phase_scale = abs(float(rate * (_v_q(state.dim, x_peak) - state._curvature(x_peak))) * t)
     if phase_scale > 0.5:
         raise PreconditionError(
             f"short-time approximation invalid: |[W+V_Q] t/hbar| = {phase_scale:.3g} > 0.5 at the peak"
         )
-    log_u = state._log_u(arr)
-    mask = log_u > float(state._log_u(r_peak)) + math.log(1e-12)
-    amplitude = np.where(mask, np.exp(log_u), 0.0)
-    phase = np.where(mask, -phase_rate(arr) * t, 0.0)
+    log_u_x = state._log_u_x(x)
+    mask = log_u_x > float(state._log_u_x(x_peak)) + math.log(1e-12)
+    amplitude = np.where(mask, np.exp(0.5 * math.log(kappa) + log_u_x), 0.0)
+    phase = np.where(mask, -rate * (_v_q(state.dim, x) - state._curvature(x)) * t, 0.0)
     return amplitude * np.exp(1j * phase)

@@ -16,9 +16,9 @@ so does an arithmetic error that the integrand raises inside QUADPACK,
 which calls it on Python floats.
 Radial integrals over (0, inf) are truncated to the closed-form support
 window of the state and evaluated on s = ln(r), so that features spanning
-many decades of r are resolved uniformly.  The states integrate on their
-kappa = 1 twins, where r is x = kappa r, so the nodes and the result of a
-state's integral are the same at every kappa.
+many decades of r are resolved uniformly.  A state integrates its kappa-free
+profile u_x in x = kappa r, where u(r) = sqrt(kappa) u_x(kappa r), so the nodes
+and the result of a state's integral are the same at every kappa.
 
 Node layouts of both rules are deterministic: identical inputs produce
 bit-identical results.

@@ -25,7 +25,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Union
 
 from .core import DomainError, HyperDimension, PhysicalParams, QuadratureError, _require_positive
@@ -124,15 +123,7 @@ def _trap_power(family: StateFamily, dim: HyperDimension) -> float:
 
 def log_norm_constant(family: StateFamily, dim: HyperDimension, params: PhysicalParams) -> float:
     """ln of the closed-form normalization constant N0, N1 or N2."""
-    kappa = params.kappa
-    if family is StateFamily.U2:
-        bk = params.beta_kappa
-        _require_positive("beta*kappa", bk)  # beta * kappa can leave double range
-        zeta = 2.0 * math.sqrt(bk)
-        return -0.25 * math.log(bk) + 0.5 * (math.log(kappa) - math.log(2.0) - _log_k1(zeta))
-    # int r^(2a) exp(-kappa^2 r^2) dr = Gamma(b) / (2 kappa^(2b)) with b = a + 1/2
-    b = _trap_power(family, dim) + 0.5
-    return 0.5 * (math.log(2.0) - log_gamma(b)) + b * math.log(kappa)
+    return RadialState(family=family, dim=dim, params=params).log_norm
 
 
 def norm_constant(family: StateFamily, dim: HyperDimension, params: PhysicalParams) -> float:
@@ -143,9 +134,9 @@ def norm_constant(family: StateFamily, dim: HyperDimension, params: PhysicalPara
 
 # The one radius check.  Each radius array is checked once, where it enters the
 # evaluators: a caller's r in each public function of a radius, and the quadrature
-# nodes once per integrand evaluation, in `log_u`.  Past the check the work is done
-# by array kernels (`RadialState._log_u`, `energy._v_q`, ...), which take a checked
-# array, return an array and stay private, so that no public path skips the check.
+# nodes once per integrand evaluation, in the density of `_expectation_in_x`.  Past the
+# check the work is done by array kernels (`RadialState._log_u_x`, `energy._v_q`, ...),
+# which take a checked array, return one and stay private, so no public path skips it.
 def _as_positive_radius(r: ArrayLike) -> np.ndarray:
     import numpy as np
 
@@ -170,48 +161,50 @@ def _scalar_like(template: ArrayLike, value: np.ndarray):
 class RadialState:
     """One normalized radial wave function u(r) on (0, inf).
 
-    Immutable after construction; evaluation is pure.  The norm constant
-    is stored in log space; the bare constant is exposed as a property and
-    is exact wherever it is representable in double precision.
+    Immutable after construction; evaluation is pure.  u(r) = sqrt(kappa) u_x(kappa r)
+    with u_x set by D (u0, u1) or beta kappa (u2) alone: the private kernels are written
+    once for u_x, the public methods convert r = x/kappa and ln u = ln(kappa)/2 + ln u_x.
+    The norm constant is stored in log space; the bare constant is exposed as a property
+    and is exact wherever it is representable in double precision.
     """
 
     family: StateFamily
     dim: HyperDimension
     params: PhysicalParams
     log_norm: float = field(init=False)
+    _log_norm_x: float = field(init=False, repr=False)  # ln of the norm constant of u_x
 
     def __post_init__(self) -> None:
         if not isinstance(self.family, StateFamily):
             raise DomainError(f"family must be a StateFamily, got {self.family!r}")
-        object.__setattr__(self, "log_norm", log_norm_constant(self.family, self.dim, self.params))
+        if self.family is StateFamily.U2:
+            bk, b = self.params.beta_kappa, 0.5
+            _require_positive("beta*kappa", bk)  # beta * kappa can leave double range
+            log_norm_x = -0.25 * math.log(bk) + 0.5 * (-math.log(2.0) - _log_k1(2.0 * math.sqrt(bk)))
+        else:  # int x^(2a) exp(-x^2) dx = Gamma(b) / 2 with b = a + 1/2
+            b = _trap_power(self.family, self.dim) + 0.5
+            log_norm_x = 0.5 * (math.log(2.0) - log_gamma(b))
+        object.__setattr__(self, "_log_norm_x", log_norm_x)
+        # N = N_x kappa^b with b = a + 1/2, and a = 0 for u2
+        object.__setattr__(self, "log_norm", log_norm_x + b * math.log(self.params.kappa))
 
     @property
     def norm_constant(self) -> float:
         return math.exp(self.log_norm)
 
-    @cached_property
-    def _in_x(self) -> "RadialState":
-        """This family and D at hbar = M = kappa = 1, where r is x = kappa r (trap shapes ignore
-        beta); the state itself where its parameters are already those."""
-        params = PhysicalParams(beta=self.params.beta_kappa if self.family is StateFamily.U2 else 1.0)
-        return self if params == self.params else RadialState(family=self.family, dim=self.dim, params=params)
-
     # -- evaluation, written in x = kappa r (order one on the support at any kappa) --
 
-    def _log_u(self, arr: np.ndarray) -> np.ndarray:
+    def _log_u_x(self, x: np.ndarray) -> np.ndarray:
         import numpy as np
 
-        x = self.params.kappa * arr
         if self.family is StateFamily.U2:
-            return self.log_norm - 0.5 * (self.params.beta_kappa / x + x)
-        return self.log_norm + _trap_power(self.family, self.dim) * np.log(arr) - 0.5 * x**2
+            return self._log_norm_x - 0.5 * (self.params.beta_kappa / x + x)
+        return self._log_norm_x + _trap_power(self.family, self.dim) * np.log(x) - 0.5 * x**2
 
-    def _d_log_u(self, arr: np.ndarray) -> np.ndarray:
-        kappa = self.params.kappa
-        x = kappa * arr
+    def _d_log_u_x(self, x: np.ndarray) -> np.ndarray:
         if self.family is StateFamily.U2:
-            return kappa * (0.5 * self.params.beta_kappa / x**2 - 0.5)
-        return kappa * (_trap_power(self.family, self.dim) / x - x)
+            return 0.5 * self.params.beta_kappa / x**2 - 0.5
+        return _trap_power(self.family, self.dim) / x - x
 
     def _curvature(self, x: np.ndarray) -> np.ndarray:
         """c(x) = u''/u in units of kappa^2, written in x = kappa r."""
@@ -220,6 +213,9 @@ class RadialState:
             return b**2 / (4.0 * x**4) - b / (2.0 * x**2) - b / x**3 + 0.25
         a = _trap_power(self.family, self.dim)
         return a * (a - 1.0) / x**2 - (2.0 * a + 1.0) + x**2
+
+    def _log_u(self, arr: np.ndarray) -> np.ndarray:
+        return 0.5 * math.log(self.params.kappa) + self._log_u_x(self.params.kappa * arr)
 
     def log_u(self, r: ArrayLike) -> ArrayLike:
         """ln u(r); u is strictly positive for r > 0 in all three families."""
@@ -233,7 +229,8 @@ class RadialState:
 
     def d_log_u(self, r: ArrayLike) -> ArrayLike:
         """Logarithmic derivative u'(r)/u(r): kappa (a/x - x), or kappa (b/(2 x^2) - 1/2) for u2."""
-        return _scalar_like(r, self._d_log_u(_as_positive_radius(r)))
+        kappa = self.params.kappa
+        return _scalar_like(r, kappa * self._d_log_u_x(kappa * _as_positive_radius(r)))
 
     def u_second_over_u(self, r: ArrayLike) -> ArrayLike:
         """Analytic curvature ratio u''(r)/u(r) = kappa^2 c(kappa r)."""
@@ -262,52 +259,57 @@ class RadialState:
 
     # -- geometry of the profile ----------------------------------------
 
+    def _peak_x(self) -> float:
+        x2 = self.params.beta_kappa if self.family is StateFamily.U2 else _trap_power(self.family, self.dim)
+        return math.sqrt(x2) if x2 > 0 else 0.0  # x2 = (kappa r_peak)^2
+
     def peak_radius(self) -> float:
         """argmax of u(r): sqrt(a)/kappa for the trap states, sqrt(beta kappa)/kappa for u2.
 
         For u0 at D = 1 the profile is a half-Gaussian whose supremum sits
         at the origin; 0.0 is returned in that case.
         """
-        x2 = self.params.beta_kappa if self.family is StateFamily.U2 else _trap_power(self.family, self.dim)
-        return math.sqrt(x2) / self.params.kappa if x2 > 0 else 0.0  # x2 = (kappa r_peak)^2
+        return self._peak_x() / self.params.kappa
+
+    def _support_x(self, drop_decades: float = SUPPORT_DROP_DECADES) -> tuple[float, float]:
+        _require_positive("drop_decades", drop_decades)
+        drop = drop_decades * math.log(10.0)
+        if self.family is StateFamily.U2:
+            bk, root_bk = self.params.beta_kappa, math.sqrt(self.params.beta_kappa)
+            x_hi = root_bk + drop + math.sqrt(drop * (drop + 2.0 * root_bk))
+            return bk / x_hi, x_hi  # product of the roots, free of cancellation
+        a = _trap_power(self.family, self.dim)
+        if a == 0.0:  # u0 at D=1: flat at the origin, drop measured from x = 1
+            return 1e-30, math.sqrt(1.0 + 2.0 * drop)
+        log_minus_z = -1.0 - 2.0 * drop / a
+        return tuple(math.sqrt(-a * _lambert_w(log_minus_z, k)) for k in (0, -1))
 
     def support(self, drop_decades: float = SUPPORT_DROP_DECADES) -> tuple[float, float]:
         """Window [r_lo, r_hi] outside which u is `drop_decades` decades below peak.
 
         With the default drop the |u|^2 mass left outside is below 1e-14,
         which justifies truncating every (0, inf) integral to this window.
-        The edges solve ln u(r) = ln u(peak) - drop in closed form: for u2
-        kappa r^2 - 2 (sqrt(beta kappa) + drop) r + beta = 0, and for u0/u1
-        r^2 = (a/kappa^2) (-W_k(-exp(-1 - 2 drop/a))), W_0 inner, W_-1 outer,
+        The edges solve ln u(r) = ln u(peak) - drop in closed form, in x = kappa r:
+        for u2 x^2 - 2 (sqrt(beta kappa) + drop) x + beta kappa = 0, and for u0/u1
+        x^2 = a (-W_k(-exp(-1 - 2 drop/a))), W_0 inner, W_-1 outer,
         with the real branches of Lambert W from the in-house Newton solver
         `_lambert_w`, which takes the exponent -1 - 2 drop/a rather than z.
         The drop must be positive and finite.
         """
-        _require_positive("drop_decades", drop_decades)
-        drop = drop_decades * math.log(10.0)
-        kappa = self.params.kappa
-        if self.family is StateFamily.U2:
-            beta, root_bk = self.params.beta, math.sqrt(self.params.beta_kappa)
-            r_hi = (root_bk + drop + math.sqrt(drop * (drop + 2.0 * root_bk))) / kappa
-            return beta / (kappa * r_hi), r_hi  # product of the roots, free of cancellation
-        a = _trap_power(self.family, self.dim)
-        if a == 0.0:  # u0 at D=1: flat at the origin, drop measured from r = 1/kappa
-            return 1e-30 / kappa, math.sqrt(1.0 + 2.0 * drop) / kappa
-        log_minus_z = -1.0 - 2.0 * drop / a
-        r_lo, r_hi = (math.sqrt(-a * _lambert_w(log_minus_z, k)) / kappa for k in (0, -1))
-        return r_lo, r_hi
+        x_lo, x_hi = self._support_x(drop_decades)
+        return x_lo / self.params.kappa, x_hi / self.params.kappa
 
     def expectation(self, weight: Callable[[np.ndarray], ArrayLike] | None = None) -> QuadResult:
         """Quadrature of int weight(r) |u|^2 dr over the support window (weight 1 if None)."""
         return self._expectation_in_x(None if weight is None else lambda x: weight(x / self.params.kappa))
 
     def _expectation_in_x(self, weight: Callable[[np.ndarray], ArrayLike] | None = None) -> QuadResult:
-        """int weight(x) |u|^2 dr, x = kappa r, by quadrature in x on the kappa = 1 twin, the same
-        at every kappa; QuadratureError, naming the window in r, where the window rounds to
-        zero width in s = ln x and the integral would come out as an exact 0."""
+        """int weight(x) |u|^2 dr, x = kappa r, by quadrature of |u_x|^2 in x, the same at every
+        kappa; QuadratureError, naming the window in r, where the window rounds to zero width
+        in s = ln x and the integral would come out as an exact 0."""
         import numpy as np
 
-        x_lo, x_hi = self._in_x.support()
+        x_lo, x_hi = self._support_x()
         if not math.log(x_lo) < math.log(x_hi):
             r_lo, r_hi = self.support()
             raise QuadratureError(
@@ -316,7 +318,7 @@ class RadialState:
             )
 
         def integrand(x: np.ndarray) -> np.ndarray:
-            density = np.exp(2.0 * np.asarray(self._in_x.log_u(x)))
+            density = np.exp(2.0 * self._log_u_x(_as_positive_radius(x)))
             return density if weight is None else np.asarray(weight(x)) * density
 
         return integrate_radial(integrand, x_lo, x_hi)
@@ -385,8 +387,8 @@ def _eigen_potential_v2(b: float, x: np.ndarray) -> np.ndarray:
 def u2_eigenstate_residual(params: PhysicalParams, r: ArrayLike) -> float:
     """Residual of the zero-energy equation u2'' - (2M/hbar^2) V2 u2 = 0.
 
-    The equation is taken in x = kappa r on u2's kappa = 1 twin, where it reads
-    d^2u2/dx^2 = (V2/eps) u2, so one x gives one stencil at every kappa.  The
+    The equation is taken in x = kappa r on u_x, where u2(r) = sqrt(kappa) u_x(kappa r),
+    and reads d^2u_x/dx^2 = (V2/eps) u_x, so one x gives one stencil at every kappa.  The
     curvature is taken from a 5-point finite-difference stencil with a locally
     scaled step (never from the analytic second derivative), so this is an
     independent check that u2 really solves its Schroedinger equation with E = 0.
@@ -396,16 +398,16 @@ def u2_eigenstate_residual(params: PhysicalParams, r: ArrayLike) -> float:
     import numpy as np
 
     x = params.kappa * _as_positive_radius(r)
-    twin = RadialState(family=StateFamily.U2, dim=HyperDimension(3), params=params)._in_x
+    state = RadialState(family=StateFamily.U2, dim=HyperDimension(3), params=params)
 
     # h resolves the local variation scale of u2 in x, and h <= x/400 keeps x +- 2h positive
-    h = RESIDUAL_STEP_SCALE / (np.abs(twin._d_log_u(x)) + 2.0 / x + 1.0)
+    h = RESIDUAL_STEP_SCALE / (np.abs(state._d_log_u_x(x)) + 2.0 / x + 1.0)
 
     stencil = np.zeros_like(x)
     for offset, weight in ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0)):
-        stencil += weight * np.exp(twin._log_u(x + offset * h))
+        stencil += weight * np.exp(state._log_u_x(x + offset * h))
     u_second_fd = stencil / (12.0 * h**2)
 
-    potential_term = _eigen_potential_v2(params.beta_kappa, x) * np.exp(twin._log_u(x))
+    potential_term = _eigen_potential_v2(params.beta_kappa, x) * np.exp(state._log_u_x(x))
     residual = np.max(np.abs(u_second_fd - potential_term))
     return float(residual / np.max(np.abs(u_second_fd)))

@@ -48,6 +48,11 @@ class TestEnergiesCommand:
         assert main(["energies", "--family", "u0"]) == 2
         assert main(["energies", "--family", "u0", "--D", "6", "--N", "2"]) == 2
 
+    @pytest.mark.parametrize("argv", [["energies", "--D", "6"], ["propagate", "--N", "2"]])
+    def test_requires_family(self, argv, capsys):
+        assert main(argv) == 2
+        assert "--family" in capsys.readouterr().err
+
     def test_writes_file(self, tmp_path, capsys):
         out = tmp_path / "energies.csv"
         assert main(["energies", "--family", "u0", "--D", "6", "--output", str(out)]) == 0
@@ -209,6 +214,14 @@ class TestScalingCommand:
 
     def test_bad_range(self, capsys):
         assert main(["scaling", "--quantity", "fermion", "--N", "ten"]) == 2
+
+    def test_descending_range_includes_its_stop(self, capsys):
+        assert main(["scaling", "--quantity", "fermion", "--N", "12:1:-1"]) == 0
+        descending = capsys.readouterr()
+        assert [int(row["N"]) for row in read_csv_rows(descending.out)] == list(range(12, 0, -1))
+        assert main(["scaling", "--quantity", "fermion", "--N", "1:12"]) == 0
+        assert descending.err == capsys.readouterr().err  # the same fit
+        assert main(["scaling", "--quantity", "fermion", "--N", "12:1:0"]) == 2
 
     def test_json_output(self, capsys):
         assert main(["scaling", "--quantity", "slope", "--family", "u2",
@@ -587,6 +600,22 @@ class TestConfigFile:
         config.write_text(json.dumps({**base, key: value}))
         assert main([command, "--config", str(config)]) == 2
         assert f"config key {key!r} must be" in capsys.readouterr().err
+
+    def test_config_must_hold_an_object(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps([{"family": "u0", "D": 6}]))
+        assert main(["energies", "--config", str(config)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["N", "output"])
+    def test_null_is_the_flag_default(self, key, tmp_path, capsys):
+        outputs = []
+        for extra in ({}, {key: None}):
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"family": "u0", "D": 6, **extra}))
+            assert main(["energies", "--config", str(config)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
 
     def test_unreadable_config(self, tmp_path):
         assert main(["energies", "--config", str(tmp_path / "nope.json")]) == 2

@@ -225,6 +225,17 @@ class TestEvaluation:
             assert np.all(np.isfinite(np.asarray(state.u(r))))
             assert np.all(np.isfinite(np.asarray(state.psi(r))))
 
+    @pytest.mark.parametrize("kappa", [1e-150, 1e150])
+    @pytest.mark.parametrize("family, d", [(StateFamily.U0, 300), (StateFamily.U1, 3000)])
+    def test_log_u_is_the_unit_kappa_profile_far_from_unit_kappa(self, family, d, kappa):
+        # u(r) = sqrt(kappa) u_x(kappa r): ln(kappa)/2 is the only term that carries kappa,
+        # so no (a + 1/2) ln(kappa) of the norm constant costs absolute accuracy in ln u
+        unit = make_state(family, d)
+        state = make_state(family, d, PhysicalParams(kappa=kappa, beta=1.0 / kappa))
+        r = np.linspace(*unit.support(), 101)[1:-1] / kappa
+        shifted = np.asarray(state.log_u(r)) - 0.5 * math.log(kappa)
+        np.testing.assert_allclose(shifted, np.asarray(unit.log_u(kappa * r)), rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("r", [np.geomspace(0.02, 40, 97), 0.02], ids=["array", "scalar"])
     def test_psi_beyond_double_range_raises(self, r, params):
         # ln |Psi| of u2 at D=300 reaches 774 at r = 0.02: 1/sqrt(S_D) ~ 1e93 times r^-149.5
