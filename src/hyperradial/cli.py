@@ -145,24 +145,23 @@ def _config_value(key: str, action: argparse.Action, value):
     return float(value) if action.type is float else value
 
 
-def _apply_config(args: argparse.Namespace, parser_actions: Sequence[argparse.Action], argv: Sequence[str]) -> None:
-    """Check every value in --config and overlay those whose flags were not given explicitly."""
+def _apply_config(args: argparse.Namespace) -> None:
+    """Check every value in --config and make it the default of its flag, so a flag given
+    explicitly still wins when the command line is parsed again."""
     try:
         config = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DomainError(f"cannot read config {args.config!r}: {exc}") from exc
     if not isinstance(config, dict):
         raise DomainError("config file must hold a JSON object")
-    by_option = {opt: action.dest for action in parser_actions for opt in action.option_strings}
-    explicit = {by_option.get(token.split("=", 1)[0]) for token in argv}
-    actions = {action.dest: action for action in parser_actions}
+    actions = {action.dest: action for action in args._parser._actions}
+    defaults = {}
     for key, value in config.items():
         action = actions.get(key.replace("-", "_"))
         if action is None:
             raise DomainError(f"unknown config key {key!r}")
-        value = _config_value(key, action, value)
-        if action.dest not in explicit:
-            setattr(args, action.dest, value)
+        defaults[action.dest] = _config_value(key, action, value)
+    args._parser.set_defaults(**defaults)
 
 
 # ---------------------------------------------------------------- energies
@@ -481,7 +480,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            _apply_config(args, args._parser._actions, argv)
+            _apply_config(args)
+            args = parser.parse_args(argv)
         status = args.func(args)
         sys.stdout.flush()
         return status

@@ -132,11 +132,13 @@ def norm_constant(family: StateFamily, dim: HyperDimension, params: PhysicalPara
     return math.exp(log_norm_constant(family, dim, params))
 
 
-# The one radius check.  Each radius array is checked once, where it enters the
-# evaluators: a caller's r in each public function of a radius, and the quadrature
-# nodes once per integrand evaluation, in the density of `_expectation_in_x`.  Past the
-# check the work is done by array kernels (`RadialState._log_u_x`, `energy._v_q`, ...),
-# which take a checked array, return one and stay private, so no public path skips it.
+# The one radius check.  Radii are checked where they enter from a caller, or where a
+# grid or window is built, and never again inside: a caller's r in each public function
+# of a radius goes through this check once.  A support window is checked where
+# `RadialState._support_x` makes it, and the tanh-sinh nodes of `_expectation_in_x` lie
+# inside it, so no node is checked.  Past the check the work is done by array kernels
+# (`RadialState._log_u_x`, `energy._v_q`, ...), which take a checked array, return one
+# and stay private, so no public path skips it.
 def _as_positive_radius(r: ArrayLike) -> np.ndarray:
     import numpy as np
 
@@ -277,12 +279,18 @@ class RadialState:
         if self.family is StateFamily.U2:
             bk, root_bk = self.params.beta_kappa, math.sqrt(self.params.beta_kappa)
             x_hi = root_bk + drop + math.sqrt(drop * (drop + 2.0 * root_bk))
-            return bk / x_hi, x_hi  # product of the roots, free of cancellation
-        a = _trap_power(self.family, self.dim)
-        if a == 0.0:  # u0 at D=1: flat at the origin, drop measured from x = 1
-            return 1e-30, math.sqrt(1.0 + 2.0 * drop)
-        log_minus_z = -1.0 - 2.0 * drop / a
-        return tuple(math.sqrt(-a * _lambert_w(log_minus_z, k)) for k in (0, -1))
+            x_lo = bk / x_hi  # product of the roots, free of cancellation
+        elif (a := _trap_power(self.family, self.dim)) == 0.0:
+            # u0 at D=1: flat at the origin, drop measured from x = 1
+            x_lo, x_hi = 1e-30, math.sqrt(1.0 + 2.0 * drop)
+        else:
+            x_lo, x_hi = (math.sqrt(-a * _lambert_w(-1.0 - 2.0 * drop / a, k)) for k in (0, -1))
+        # each window is checked here, where it is made, and never by its users: a drop
+        # large enough to overflow or underflow an edge leaves none (NaN fails too)
+        if not 0 < x_lo <= x_hi < math.inf:
+            raise DomainError(f"drop_decades={drop_decades:g} leaves no finite, positive support "
+                              f"window for {self.family.value} at D={self.dim.d}")
+        return x_lo, x_hi
 
     def support(self, drop_decades: float = SUPPORT_DROP_DECADES) -> tuple[float, float]:
         """Window [r_lo, r_hi] outside which u is `drop_decades` decades below peak.
@@ -294,7 +302,8 @@ class RadialState:
         x^2 = a (-W_k(-exp(-1 - 2 drop/a))), W_0 inner, W_-1 outer,
         with the real branches of Lambert W from the in-house Newton solver
         `_lambert_w`, which takes the exponent -1 - 2 drop/a rather than z.
-        The drop must be positive and finite.
+        The drop must be positive and finite, and both edges must come out as finite
+        radii above zero; otherwise DomainError names the drop.
         """
         x_lo, x_hi = self._support_x(drop_decades)
         return x_lo / self.params.kappa, x_hi / self.params.kappa
@@ -306,7 +315,7 @@ class RadialState:
     def _expectation_in_x(self, weight: Callable[[np.ndarray], ArrayLike] | None = None) -> QuadResult:
         """int weight(x) |u|^2 dr, x = kappa r, by quadrature of |u_x|^2 in x, the same at every
         kappa; QuadratureError, naming the window in r, where the window rounds to zero width
-        in s = ln x and the integral would come out as an exact 0."""
+        in s = ln x and the integral would come out as an exact 0, or where the quadrature fails."""
         import numpy as np
 
         x_lo, x_hi = self._support_x()
@@ -318,10 +327,20 @@ class RadialState:
             )
 
         def integrand(x: np.ndarray) -> np.ndarray:
-            density = np.exp(2.0 * self._log_u_x(_as_positive_radius(x)))
+            density = np.exp(2.0 * self._log_u_x(x))
             return density if weight is None else np.asarray(weight(x)) * density
 
-        return integrate_radial(integrand, x_lo, x_hi)
+        try:
+            return integrate_radial(integrand, x_lo, x_hi)
+        except QuadratureError as exc:
+            kappa = self.params.kappa
+            if kappa == 1.0:  # x is r, the variable integrate_radial names its window in
+                raise
+            # integrate_radial named its window in x; the error it wraps (exc.__context__)
+            # names only the interval in s = ln x
+            r_lo, r_hi = self.support()
+            raise QuadratureError(f"{exc.__context__} (the interval is s = ln(kappa r) for r in "
+                                  f"[{r_lo:.3g}, {r_hi:.3g}], kappa={kappa:g})") from None
 
     def normalization_integral(self) -> QuadResult:
         """Quadrature of int |u|^2 dr over the support window; must be 1."""

@@ -155,6 +155,14 @@ class TestInvalidScales:
         assert "on [-695.136, 4.36039]" in err, err
         assert "r in [1.28e-302, 78.3]" in err, err
 
+    def test_non_finite_integrand_names_the_radial_window_away_from_unit_kappa(self, capsys):
+        # the quadrature runs in x = kappa r on the nodes of kappa = 1; the window is named in r
+        code = main(["energies", "--family", "u2", "--D", "6", "--beta-kappa", "1e-300", "--kappa", "10"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "on [-695.136, 4.36039]" in err, err
+        assert "s = ln(kappa r) for r in [1.28e-303, 7.83], kappa=10" in err, err
+
     def test_empty_support_window_is_numerical_failure(self, capsys):
         code = main(["energies", "--family", "u2", "--D", "6", "--beta-kappa", "1e300"])
         assert code == 3

@@ -794,6 +794,29 @@ class TestSolveWindow:
             propagate_free(state, grid, 10.0, 2)
 
 
+class TestSolveFaults:
+    # the two aborts of the step loop that no sound run reaches, driven through a
+    # wrapped LAPACK ztbtrs as in solved_lengths
+    @staticmethod
+    def run_with(monkeypatch, solve):
+        from hyperradial import dynamics
+
+        gttrf, tbtrs = dynamics._tridiagonal_lapack()
+        monkeypatch.setattr(dynamics, "_tridiagonal_lapack",
+                            lambda: (gttrf, lambda band, y, **kwargs: solve(tbtrs(band, y, **kwargs))))
+        state = make_state(U0, 6)
+        propagate_free(state, RadialGrid.for_state(state, 1024), 1e-3, 20)
+
+    def test_norm_drift_aborts(self, monkeypatch):
+        # each solve 1e-3 too large lifts the norm by about 0.8% a step, past the 1e-4 limit
+        with pytest.raises(PropagationError, match="norm drifted to .* at t=0.001 "):
+            self.run_with(monkeypatch, lambda out: (out[0] * (1.0 + 1e-3), out[1]))
+
+    def test_failed_banded_solve_aborts(self, monkeypatch):
+        with pytest.raises(PropagationError, match=r"banded solve failed at step 1 \(info=1\)"):
+            self.run_with(monkeypatch, lambda out: (out[0], 1))
+
+
 class TestScalingLawOverDimensions:
     # Three-point power-law fits of the slope over D in {30, 60, 120}.
     # The closed forms give alpha = 0.5045 for u0 and alpha = 2.0762 for u2

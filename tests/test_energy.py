@@ -295,7 +295,7 @@ class TestQuadratureUnits:
 
     @pytest.mark.parametrize("family, d", [(U0, 300), (U1, 3000), (U2, 30)])
     def test_quadrature_is_the_same_at_every_kappa(self, family, d):
-        # every quadrature runs on the kappa = 1 twin, so no ln(kappa) enters it: at
+        # every quadrature runs on u_x in x = kappa r, so no ln(kappa) enters it: at
         # kappa = 1e+-150 the numbers are those of kappa = 1, the slope in units of eps/hbar
         from hyperradial import raman_nath_slope
 

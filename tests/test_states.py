@@ -288,10 +288,12 @@ class TestEvaluation:
                 function(r)
                 assert len(gate_calls) == 1, (name, len(gate_calls))
 
-    @pytest.mark.parametrize("family, d", [(StateFamily.U2, 6), (StateFamily.U1, 9)])
-    def test_one_radius_gate_per_integrand_evaluation(self, family, d, params, gate_calls, monkeypatch):
-        # the density's log_u checks the quadrature nodes; the weights take them as checked.
-        # The nodes are those of the kappa = 1 twin, the same at kappa = 1e100
+    @pytest.mark.parametrize("family, d", [(StateFamily.U2, 6), (StateFamily.U1, 9),
+                                           (StateFamily.U0, 6), (StateFamily.U2, 30)])
+    def test_no_radius_gate_per_integrand_evaluation(self, family, d, params, gate_calls, monkeypatch):
+        # the quadrature nodes lie inside the support window, checked where it is made, so
+        # neither the density nor a weight checks them.  The nodes are taken in x = kappa r,
+        # the same at kappa = 1e100
         integrate_radial, evaluations = states.integrate_radial, []
 
         def counting_integrate(f, r_lo, r_hi):
@@ -314,8 +316,7 @@ class TestEvaluation:
                 gate_calls.clear()
                 evaluations.clear()
                 run(make_state(family, d, state_params))
-                assert evaluations and len(gate_calls) == len(evaluations), (
-                    name, len(gate_calls), len(evaluations))
+                assert evaluations and not gate_calls, (name, len(gate_calls), len(evaluations))
                 nodes.append(list(evaluations))
             assert len(nodes[0]) == len(nodes[1]), name
             assert all(np.array_equal(a, b) for a, b in zip(*nodes)), name
@@ -354,7 +355,7 @@ class TestEigenPotential:
     @pytest.mark.parametrize("kappa", [1e-150, 1e-100, 1e100, 1e150])
     def test_u2_zero_energy_residual_far_from_unit_kappa(self, kappa):
         # beta^2/r^4 and r^4 leave double range here; b^2/x^4 in x = kappa r does not, and
-        # the stencil on the kappa = 1 twin carries no ln(kappa) of the norm constant
+        # the stencil on u_x carries no ln(kappa) of the norm constant
         params = PhysicalParams(kappa=kappa, beta=1.0 / kappa)
         radii = np.geomspace(0.1, 10.0, 200) / kappa
         assert u2_eigenstate_residual(params, radii) <= 1e-9
@@ -399,6 +400,15 @@ class TestSupportWindow:
         with pytest.raises(DomainError, match="drop_decades"):
             state.support(drop)
 
+    @pytest.mark.parametrize("family, drop", [(StateFamily.U2, 1e300), (StateFamily.U0, 1e150)])
+    def test_drop_must_leave_a_window_of_positive_finite_radii(self, family, drop):
+        # u2: drop (drop + 2 sqrt(b)) overflows, so the edges would be (0, inf); u0: the
+        # W_0 branch underflows, so the inner edge would be 0
+        with pytest.raises(DomainError, match="drop_decades") as raised:
+            make_state(family, 6).support(drop)
+        assert f"drop_decades={drop:g} " in str(raised.value), raised.value
+        assert f" {family.value} at D=6" in str(raised.value), raised.value
+
     def test_window_without_width_is_an_error(self):
         # at beta*kappa = 1e300 both edges round to sqrt(beta/kappa) = 1e150; an empty
         # window would integrate to an exact 0 and report a norm of 0
@@ -409,7 +419,7 @@ class TestSupportWindow:
             state.normalization_integral()
 
     def test_window_without_width_names_the_window_in_r(self):
-        # the quadrature runs on the kappa = 1 twin, whose window is x in [1e150, 1e150]
+        # the quadrature runs on u_x in x = kappa r, whose window is x in [1e150, 1e150]
         state = RadialState(family=StateFamily.U2, dim=HyperDimension(6),
                             params=PhysicalParams(kappa=1e10, beta=1e290))
         with pytest.raises(QuadratureError, match=r"r in \[1e\+140, 1e\+140\].*beta\*kappa=1e\+300"):
