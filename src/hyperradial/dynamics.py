@@ -26,13 +26,16 @@ Writing U = D U1 and L1 = D^-1 L D, a step scales u by 1/d and makes two
 unit-diagonal bidiagonal solves in place (LAPACK ztbtrs), with no pivot test
 or division per row.  One (2, n) band holds both factors: the U1
 superdiagonal in row 0 and the L1 subdiagonal in row 1, each row where the
-other factor keeps its unit diagonal, which ztbtrs never reads.  A recorded
-sample is one (t, <p_r>, norm) tuple, and its observables are one vdot each:
-the norm is h * <u, u>, and with zero walls the central-difference <p_r> is
-hbar Im sum conj(u_j) u_(j+1), which is exactly zero for a real profile.
-Both routines are loaded once per process by _tridiagonal_lapack, straight
-from scipy's _flapack extension: neither the scipy package nor scipy.linalg
-is imported.
+other factor keeps its unit diagonal, which ztbtrs never reads.  The band's
+rows hold A/2 until zgttrf has copied it, and 1/d overwrites zgttrf's d, so a
+run keeps of its setup only the band and 1/d.  The samples go into one float64
+record of three rows, t, <p_r> and norm, sized from n_steps and record_every
+before the first step; the returned series are its rows.  A sample's
+observables are one vdot each: the norm is h * <u, u>, and with zero walls the
+central-difference <p_r> is hbar Im sum conj(u_j) u_(j+1), which is exactly
+zero for a real profile.  Both routines are loaded once per process by
+_tridiagonal_lapack, straight from scipy's _flapack extension: neither the
+scipy package nor scipy.linalg is imported.
 
 A step solves only the leading nodes the state occupies: every node where
 the sampled |u|^2 is at least eps^2 of its peak (eps the double epsilon,
@@ -289,6 +292,8 @@ def fit_window(state: RadialState) -> float:
 class PropagationResult:
     """Time series of one free-expansion run.
 
+    times, p_r_mean and norm are the rows of one float64 record, with a sample
+    at t = 0, at every record_every-th step and at the last step.
     p_r_mean is in units of hbar*kappa; times are in natural units
     (hbar = M = kappa = 1 by default).  analytic_slope is the closed-form
     Raman-Nath slope when one exists, NaN otherwise.  dt_cap names what set
@@ -396,6 +401,52 @@ def _initial_profile(state: RadialState, r: np.ndarray, h: float) -> tuple[np.nd
     return u, peak, min(past_last + 1, r.size)
 
 
+def _cayley_factors(state: RadialState, r: np.ndarray, h: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The band of the unit factors U1, L1 of A/2 and 1/d on the nodes r, made in place: the
+    band's rows stage A/2 for zgttrf, and 1/d overwrites zgttrf's d.  These two are all of
+    the setup that a run keeps; V_Q, the H diagonal and the other zgttrf outputs die here."""
+    import numpy as np
+
+    params = state.params
+    hbar, mass, kappa = params.hbar, params.mass, params.kappa
+    try:
+        kinetic = hbar**2 / (2.0 * mass * h**2)
+    except ArithmeticError:  # h**2 overflows (h > 1) or underflows to 0
+        kinetic = 0.0 if h > 1.0 else math.inf
+    if not 0.0 < kinetic < math.inf:
+        raise OverflowError(f"the kinetic coupling hbar^2/(2 M h^2) "
+                            f"{'underflows' if h > 1.0 else 'overflows'} at spacing "
+                            f"h={h:g}, kappa={kappa:g} (hbar={hbar:g}, mass={mass:g})")
+    # B = 1 - alpha H = 2 - A, alpha = i dt / 2 hbar, so A^-1 B u = y - u with (A/2) y = u.
+    # A/2 = L U is factored once (LAPACK zgttrf) without row interchanges: its diagonal
+    # 2K + V_Q is at least 1.75 K (V_Q attractive at D = 2), its off-diagonal K.  With
+    # U = D U1 and L1 = D^-1 L D, each step solves L1 U1 y = u / d by two in-place
+    # unit-diagonal banded solves (LAPACK ztbtrs, kd = 1).  One LAPACK band (ldab = 2,
+    # column-major) holds both unit factors: row 0 the U1 superdiagonal, which uplo="U"
+    # reads, row 1 the L1 subdiagonal, which uplo="L" reads.  Each row is the other
+    # factor's diagonal, never read under diag="U".  Until zgttrf has copied them, its
+    # rows hold the diagonal 0.5 + 0.5 alpha (2K + eps V_Q) and off-diagonal of A/2
+    band = np.zeros((2, r.size), dtype=np.complex128, order="F")
+    dd, off = band[0], band[1, :-1]
+    np.multiply(params.epsilon(), _v_q(state.dim, kappa * r), out=dd)
+    np.add(2.0 * kinetic, dd, out=dd)
+    alpha = 1j * dt / (2.0 * hbar)
+    np.multiply(0.5 * alpha, dd, out=dd)
+    np.add(0.5, dd, out=dd)
+    off.fill(0.5 * alpha * -kinetic)
+    gttrf = _tridiagonal_lapack()[0]
+    dl_f, d_f, du_f, du2_f, ipiv, info = gttrf(off, dd, off)
+    if info != 0:
+        raise PropagationError(f"tridiagonal factorization failed (LAPACK info={info})")
+    if not np.array_equal(ipiv, np.arange(1, r.size + 1, dtype=ipiv.dtype)) or du2_f.any():
+        raise PropagationError("tridiagonal factorization interchanged rows; the "
+                               "Crank-Nicolson step needs a pivot-free LU")
+    np.divide(du_f, d_f[:-1], out=band[0, 1:])
+    np.multiply(dl_f, d_f[:-1], out=band[1, :-1])
+    np.divide(band[1, :-1], d_f[1:], out=band[1, :-1])
+    return band, np.divide(1.0, d_f, out=d_f)
+
+
 def propagate_free(
     state: RadialState,
     grid: Optional[RadialGrid] = None,
@@ -462,48 +513,20 @@ def propagate_free(
     _require_integer("record_every", record_every, 1)
     _require_integer("progress_every", progress_every, 1)
 
-    params = state.params
-    hbar, mass, kappa = params.hbar, params.mass, params.kappa
-    try:
-        kinetic = hbar**2 / (2.0 * mass * h**2)
-    except ArithmeticError:  # h**2 overflows (h > 1) or underflows to 0
-        kinetic = 0.0 if h > 1.0 else math.inf
-    if not 0.0 < kinetic < math.inf:
-        raise OverflowError(f"the kinetic coupling hbar^2/(2 M h^2) "
-                            f"{'underflows' if h > 1.0 else 'overflows'} at spacing "
-                            f"h={h:g}, kappa={kappa:g} (hbar={hbar:g}, mass={mass:g})")
-    potential = params.epsilon() * _v_q(state.dim, kappa * r)
-    h_diag = 2.0 * kinetic + potential
-    h_off = -kinetic
+    band, dinv = _cayley_factors(state, r, h, dt)
+    kappa = state.params.kappa
+    # One float64 record whose rows are the returned series, with a sample at t = 0, at
+    # every record_every-th step and at the last step
+    n_samples = 1 + n_steps // record_every + (n_steps % record_every != 0)
+    times, p_r_mean, norm = np.empty((3, n_samples))
 
-    alpha = 1j * dt / (2.0 * hbar)
-    # B = 1 - alpha H = 2 - A, so A^-1 B u = y - u with (A/2) y = u.  A/2 = L U is
-    # factored once (LAPACK zgttrf) without row interchanges: its diagonal 2K + V_Q is
-    # at least 1.75 K (V_Q attractive at D = 2), its off-diagonal K.  With U = D U1 and
-    # L1 = D^-1 L D, each step solves L1 U1 y = u / d by two in-place unit-diagonal
-    # banded solves (LAPACK ztbtrs, kd = 1)
-    off = np.full(n - 1, 0.5 * alpha * h_off, dtype=np.complex128)
-    dd = 0.5 + 0.5 * alpha * h_diag.astype(np.complex128)
-    gttrf, tbtrs = _tridiagonal_lapack()
-    dl_f, d_f, du_f, du2_f, ipiv, info = gttrf(off, dd, off)
-    if info != 0:
-        raise PropagationError(f"tridiagonal factorization failed (LAPACK info={info})")
-    if not np.array_equal(ipiv, np.arange(1, n + 1)) or du2_f.any():
-        raise PropagationError("tridiagonal factorization interchanged rows; the "
-                               "Crank-Nicolson step needs a pivot-free LU")
-    dinv = 1.0 / d_f
-    # One LAPACK band (ldab = 2, column-major) holds both unit factors: row 0 the U1
-    # superdiagonal, which uplo="U" reads, row 1 the L1 subdiagonal, which uplo="L"
-    # reads.  Each row is the other factor's diagonal, never read under diag="U"
-    band = np.zeros((2, n), dtype=np.complex128, order="F")
-    band[0, 1:] = du_f / d_f[:-1]
-    band[1, :-1] = dl_f * d_f[:-1] / d_f[1:]
-
-    def observe(t: float, vec: np.ndarray) -> tuple[float, float, float]:
-        # (t, <p_r>, norm).  Central-difference d/dr between zero walls: sum conj(u_j)
+    def observe(i: int, t: float, vec: np.ndarray) -> None:
+        # sample i.  Central-difference d/dr between zero walls: sum conj(u_j)
         # (u_{j+1} - u_{j-1}) is S - conj(S) with S = sum conj(u_j) u_{j+1}, so a real
         # profile gives exactly zero
-        return t, np.vdot(vec[:-1], vec[1:]).imag / kappa, np.vdot(vec, vec).real * h
+        times[i] = t
+        p_r_mean[i] = np.vdot(vec[:-1], vec[1:]).imag / kappa
+        norm[i] = np.vdot(vec, vec).real * h
 
     # Nodes past the window hold zeros in u and y, so a step solves the leading m rows of
     # the factors: without pivoting that is the same Cayley step with its wall moved to
@@ -511,6 +534,7 @@ def propagate_free(
     floor = _WINDOW_FLOOR * peak_density
     u[m:] = 0.0
     y = np.zeros_like(u)
+    tbtrs = _tridiagonal_lapack()[1]
 
     def cayley_step(k: int, step: int) -> None:
         # y[:k] = A^-1 B u[:k] with the Dirichlet wall at node k
@@ -521,7 +545,8 @@ def propagate_free(
                 raise PropagationError(f"banded solve failed at step {step} (info={info})")
         np.subtract(y_k, u[:k], out=y[:k])
 
-    samples = [observe(0.0, u[:m])]
+    observe(0, 0.0, u[:m])
+    recorded = 0
     for step in range(1, n_steps + 1):
         cayley_step(m, step)
         if m < n and abs(y[m - 1]) ** 2 >= floor:
@@ -532,11 +557,12 @@ def propagate_free(
             if progress(step, n_steps) is False:
                 raise PropagationAborted(f"aborted by progress hook at step {step}/{n_steps}")
         if step % record_every == 0 or step == n_steps:
-            samples.append(observe(step * dt, u[:m]))
-            t, _, current_norm = samples[-1]
-            if abs(current_norm - samples[0][2]) > NORM_DRIFT_LIMIT:
+            recorded += 1
+            t = step * dt
+            observe(recorded, t, u[:m])
+            if abs(norm[recorded] - norm[0]) > NORM_DRIFT_LIMIT:
                 raise PropagationError(
-                    f"norm drifted to {current_norm:.12f} at t={t:.6g} "
+                    f"norm drifted to {norm[recorded]:.12f} at t={t:.6g} "
                     f"(limit {NORM_DRIFT_LIMIT:g}); the run is untrustworthy"
                 )
             if abs(u[-1]) ** 2 > REFLECTION_LIMIT * peak_density:
@@ -551,7 +577,6 @@ def propagate_free(
     except (DomainError, DivergentIntegralError):
         analytic = math.nan
 
-    times, p_r_mean, norm = map(np.asarray, zip(*samples))
     return PropagationResult(
         times=times,
         p_r_mean=p_r_mean,

@@ -303,10 +303,18 @@ class RadialState:
         with the real branches of Lambert W from the in-house Newton solver
         `_lambert_w`, which takes the exponent -1 - 2 drop/a rather than z.
         The drop must be positive and finite, and both edges must come out as finite
-        radii above zero; otherwise DomainError names the drop.
+        radii above zero, in x and again in r = x / kappa; otherwise DomainError names
+        the drop, or kappa where only the division leaves no window.
         """
         x_lo, x_hi = self._support_x(drop_decades)
-        return x_lo / self.params.kappa, x_hi / self.params.kappa
+        kappa = self.params.kappa
+        r_lo, r_hi = x_lo / kappa, x_hi / kappa
+        # the window in x is checked where _support_x makes it, the window in r here
+        if not 0 < r_lo <= r_hi < math.inf:
+            raise DomainError(f"the support window x in [{x_lo:g}, {x_hi:g}] of {self.family.value} "
+                              f"at D={self.dim.d} leaves no finite, positive radii r = x/kappa "
+                              f"at kappa={kappa:g}")
+        return r_lo, r_hi
 
     def expectation(self, weight: Callable[[np.ndarray], ArrayLike] | None = None) -> QuadResult:
         """Quadrature of int weight(r) |u|^2 dr over the support window (weight 1 if None)."""
@@ -319,8 +327,11 @@ class RadialState:
         import numpy as np
 
         x_lo, x_hi = self._support_x()
+        kappa = self.params.kappa
+        # the failures name the window in r unchecked: the quadrature runs in x, where the
+        # window is checked, even where r = x / kappa leaves it
+        r_lo, r_hi = x_lo / kappa, x_hi / kappa
         if not math.log(x_lo) < math.log(x_hi):
-            r_lo, r_hi = self.support()
             raise QuadratureError(
                 f"the support window r in [{r_lo:.6g}, {r_hi:.6g}] of {self.family.value} at "
                 f"D={self.dim.d}, beta*kappa={self.params.beta_kappa:g} has no width in s = ln r"
@@ -333,12 +344,10 @@ class RadialState:
         try:
             return integrate_radial(integrand, x_lo, x_hi)
         except QuadratureError as exc:
-            kappa = self.params.kappa
             if kappa == 1.0:  # x is r, the variable integrate_radial names its window in
                 raise
             # integrate_radial named its window in x; the error it wraps (exc.__context__)
             # names only the interval in s = ln x
-            r_lo, r_hi = self.support()
             raise QuadratureError(f"{exc.__context__} (the interval is s = ln(kappa r) for r in "
                                   f"[{r_lo:.3g}, {r_hi:.3g}], kappa={kappa:g})") from None
 

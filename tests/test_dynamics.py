@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -607,18 +608,24 @@ class TestPropagation:
         assert lines[1] == "natural,hbar*kappa,dimensionless"
         assert len(lines) == 2 + len(result.times)
 
-    def test_recording_keeps_the_evolution_and_its_schedule(self, params):
+    @pytest.mark.parametrize("record_every, steps", [
+        (3, [0, 3, 6, 9, 10]),  # strides that do not divide n_steps = 10
+        (7, [0, 7, 10]),
+        (5, [0, 5, 10]),
+        (10, [0, 10]),  # record_every == n_steps
+        (20, [0, 10]),
+    ])
+    def test_recording_keeps_the_evolution_and_its_schedule(self, record_every, steps, params):
         # samples at every record_every-th step and the last one, the same doubles as
         # the stride-1 run at those steps
         state = make_state(U0, 6, params)
         grid = RadialGrid.for_state(state, 1024)
         dt = default_time_step(state, grid)
         every = propagate_free(state, grid, dt, 10)
-        for record_every, steps in ((3, [0, 3, 6, 9, 10]), (20, [0, 10])):
-            result = propagate_free(state, grid, dt, 10, record_every=record_every)
-            assert np.array_equal(result.times, dt * np.array(steps))
-            assert np.array_equal(result.p_r_mean, every.p_r_mean[steps])
-            assert np.array_equal(result.norm, every.norm[steps])
+        result = propagate_free(state, grid, dt, 10, record_every=record_every)
+        assert np.array_equal(result.times, dt * np.array(steps))
+        assert np.array_equal(result.p_r_mean, every.p_r_mean[steps])
+        assert np.array_equal(result.norm, every.norm[steps])
 
     def test_deterministic(self, params):
         state = make_state(U2, 30, params)
@@ -815,6 +822,35 @@ class TestSolveFaults:
     def test_failed_banded_solve_aborts(self, monkeypatch):
         with pytest.raises(PropagationError, match=r"banded solve failed at step 1 \(info=1\)"):
             self.run_with(monkeypatch, lambda out: (out[0], 1))
+
+
+class TestWorkingSet:
+    # A run keeps the nodes, u and y, the factor band and 1/d (88 B/node) and one 24 B
+    # float64 record entry per sample; its setup peaks at about 130 B/node.  The slack
+    # covers the small objects of one run (the state's quadrature, the result)
+    SLACK = 64 * 1024
+
+    @staticmethod
+    def traced_peak(state, grid, **kwargs):
+        propagate_free(state, grid, n_steps=1)  # loads LAPACK outside the trace
+        tracemalloc.start()
+        try:
+            result = propagate_free(state, grid, **kwargs)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_default_run_peaks_under_one_megabyte(self):
+        state = make_state(U0, 6)
+        _, peak = self.traced_peak(state, RadialGrid.for_state(state, 4096))
+        assert peak <= 1_000_000, peak
+
+    def test_long_run_keeps_one_record_entry_per_sample(self):
+        state = make_state(U2, 30)
+        grid = RadialGrid.for_state(state, 4096)
+        result, peak = self.traced_peak(state, grid, n_steps=20_000)
+        assert result.times.size == 20_001
+        assert peak <= 140 * grid.n_points + 24 * result.times.size + self.SLACK, peak
 
 
 class TestScalingLawOverDimensions:

@@ -409,6 +409,16 @@ class TestSupportWindow:
         assert f"drop_decades={drop:g} " in str(raised.value), raised.value
         assert f" {family.value} at D=6" in str(raised.value), raised.value
 
+    def test_window_must_stay_finite_in_r(self):
+        # the window x in [0.0125, 80.3] is sound, but its outer edge x / kappa overflows
+        # at kappa = 1e-307; the quadrature, which runs in x, still works and names r
+        state = make_state(StateFamily.U2, 6, PhysicalParams(kappa=1e-307, beta=1e307))
+        with pytest.raises(DomainError, match=r"x in \[0\.0124571, 80\.2754\] of u2 at D=6 .*kappa=1e-307"):
+            state.support()
+        assert state.normalization_integral().value == pytest.approx(1.0, rel=1e-15)
+        with pytest.raises(QuadratureError, match=r"for r in \[1\.25e\+305, inf\], kappa=1e-307\)"):
+            state.expectation(lambda r: np.full_like(r, np.nan))
+
     def test_window_without_width_is_an_error(self):
         # at beta*kappa = 1e300 both edges round to sqrt(beta/kappa) = 1e150; an empty
         # window would integrate to an exact 0 and report a norm of 0
