@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO
 
 from .core import (
+    DivergentIntegralError,
     DomainError,
     HyperDimension,
     NumericalError,
@@ -34,7 +35,7 @@ from .core import (
     PreconditionError,
 )
 from .dynamics import DEFAULT_N_POINTS, RadialGrid, fit_window, propagate_free
-from .energy import CLOSED_FORM, QUADRATURE, energy_report
+from .energy import CLOSED_FORM, QUADRATURE, _check_inverse_moment, energy_report
 from .scaling import (
     energy_scaling_table,
     fermion_scaling_table,
@@ -99,6 +100,12 @@ def _params_from(args: argparse.Namespace) -> PhysicalParams:
             raise DomainError(f"--{dest.replace('_', '-')} must be a positive number, "
                               f"got {getattr(args, dest)!r}")
     return PhysicalParams(kappa=args.kappa, beta=args.beta_kappa / args.kappa)
+
+
+def _check_jobs(args: argparse.Namespace) -> None:
+    # --jobs has no effect, but a count below 1 is invalid input like any other
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be an integer >= 1, got {args.jobs!r}")
 
 
 def _state_from(args: argparse.Namespace) -> RadialState:
@@ -206,6 +213,7 @@ def _cmd_energies(args: argparse.Namespace) -> int:
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
+    _check_jobs(args)
     n_values = _parse_n_range(args.N)
     params = _params_from(args)
     if args.quantity == "fermion":
@@ -236,6 +244,12 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 def _cmd_propagate(args: argparse.Namespace) -> int:
     state = _state_from(args)
+    # the measured slope estimates the F_Q moment; where <r^-3> diverges there is none to
+    # measure, so the run stops before any step and any file
+    try:
+        _check_inverse_moment(state, 3)
+    except DivergentIntegralError as exc:
+        raise DomainError(f"no Raman-Nath slope to measure: {exc}") from None
     if args.r_max is not None:
         grid = RadialGrid.uniform(args.r_max, args.n_points)
     else:
@@ -350,6 +364,7 @@ _VERIFY_CHECKS = {
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _check_jobs(args)
     all_passed = True
     for name in _VERIFY_CHECKS if args.only is None else (args.only,):
         passed, detail = _VERIFY_CHECKS[name](args)

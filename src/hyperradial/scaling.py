@@ -183,6 +183,7 @@ def energy_scaling_table(
     ~1 for u0/u1 and ~2 for u2.  `jobs` is accepted and has no effect: every
     table here is a closed form evaluated in microseconds per row, serially.
     """
+    _require_integer("jobs", jobs, 1)
     closed_forms = {"total": (t_r_closed, t_v_closed), "t_r": (t_r_closed,), "t_v": (t_v_closed,)}
     if component not in closed_forms:
         raise DomainError(f"unknown energy component {component!r}")
@@ -205,6 +206,7 @@ def slope_scaling_table(
 
     Expect ~0.5 for u0/u1 at large N and ~2 for u2.  `jobs` has no effect.
     """
+    _require_integer("jobs", jobs, 1)
     ns = [_require_integer("N", n, 2) for n in n_values]
     values = [raman_nath_slope_closed(RadialState(family, HyperDimension(3 * n), params))
               for n in ns]
@@ -221,6 +223,7 @@ def fermion_scaling_table(
     form alone, not the O(N) summed ladder of :func:`fermion_trap_energy`.
     `jobs` has no effect.
     """
+    _require_integer("jobs", jobs, 1)
     ns = [_require_integer("N", n, 1) for n in n_values]
     values = [_fermion_closed(n, params) for n in ns]
     return _build_table(ns, values, units="hbar*omega", quantity="fermion", family=None)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Union
 
 from .core import DomainError, HyperDimension, PhysicalParams, QuadratureError, _require_positive
-from .quadrature import QuadResult, integrate_radial
+from .quadrature import QuadResult, integrate
 from .specialfn import _scaled_bessel_k, log_gamma
 
 if TYPE_CHECKING:
@@ -134,11 +134,11 @@ def norm_constant(family: StateFamily, dim: HyperDimension, params: PhysicalPara
 
 # The one radius check.  Radii are checked where they enter from a caller, or where a
 # grid or window is built, and never again inside: a caller's r in each public function
-# of a radius goes through this check once.  A support window is checked where
-# `RadialState._support_x` makes it, and the tanh-sinh nodes of `_expectation_in_x` lie
-# inside it, so no node is checked.  Past the check the work is done by array kernels
-# (`RadialState._log_u_x`, `energy._v_q`, ...), which take a checked array, return one
-# and stay private, so no public path skips it.
+# of a radius goes through this check once.  A support window is checked once, where
+# `RadialState._support_x` makes it; `_expectation_in_x` hands it straight to
+# `quadrature.integrate`, whose nodes lie inside it, so no node is checked.  Past the
+# check the work is done by array kernels (`RadialState._log_u_x`, `energy._v_q`, ...),
+# which take a checked array, return one and stay private, so no public path skips it.
 def _as_positive_radius(r: ArrayLike) -> np.ndarray:
     import numpy as np
 
@@ -321,9 +321,9 @@ class RadialState:
         return self._expectation_in_x(None if weight is None else lambda x: weight(x / self.params.kappa))
 
     def _expectation_in_x(self, weight: Callable[[np.ndarray], ArrayLike] | None = None) -> QuadResult:
-        """int weight(x) |u|^2 dr, x = kappa r, by quadrature of |u_x|^2 in x, the same at every
-        kappa; QuadratureError, naming the window in r, where the window rounds to zero width
-        in s = ln x and the integral would come out as an exact 0, or where the quadrature fails."""
+        """int weight(x) |u|^2 dr, x = kappa r, by quadrature of |u_x|^2 x in s = ln x over the
+        window _support_x checks, the same at every kappa; QuadratureError, naming the window in r
+        and kappa, where it has no width in s (the result would be an exact 0) or quadrature fails."""
         import numpy as np
 
         x_lo, x_hi = self._support_x()
@@ -331,24 +331,22 @@ class RadialState:
         # the failures name the window in r unchecked: the quadrature runs in x, where the
         # window is checked, even where r = x / kappa leaves it
         r_lo, r_hi = x_lo / kappa, x_hi / kappa
-        if not math.log(x_lo) < math.log(x_hi):
+        s_lo, s_hi = math.log(x_lo), math.log(x_hi)
+        if not s_lo < s_hi:
             raise QuadratureError(
                 f"the support window r in [{r_lo:.6g}, {r_hi:.6g}] of {self.family.value} at "
                 f"D={self.dim.d}, beta*kappa={self.params.beta_kappa:g} has no width in s = ln r"
             )
 
-        def integrand(x: np.ndarray) -> np.ndarray:
+        def integrand(s: np.ndarray) -> np.ndarray:
+            x = np.exp(s)
             density = np.exp(2.0 * self._log_u_x(x))
-            return density if weight is None else np.asarray(weight(x)) * density
+            return (density if weight is None else np.asarray(weight(x)) * density) * x
 
         try:
-            return integrate_radial(integrand, x_lo, x_hi)
+            return integrate(integrand, s_lo, s_hi)
         except QuadratureError as exc:
-            if kappa == 1.0:  # x is r, the variable integrate_radial names its window in
-                raise
-            # integrate_radial named its window in x; the error it wraps (exc.__context__)
-            # names only the interval in s = ln x
-            raise QuadratureError(f"{exc.__context__} (the interval is s = ln(kappa r) for r in "
+            raise QuadratureError(f"{exc} (the interval is s = ln(kappa r) for r in "
                                   f"[{r_lo:.3g}, {r_hi:.3g}], kappa={kappa:g})") from None
 
     def normalization_integral(self) -> QuadResult:

@@ -163,6 +163,13 @@ class TestInvalidScales:
         assert "on [-695.136, 4.36039]" in err, err
         assert "s = ln(kappa r) for r in [1.28e-303, 7.83], kappa=10" in err, err
 
+    def test_non_finite_integrand_names_kappa_at_unit_kappa(self, capsys):
+        # the window is named in one wording at every kappa, kappa = 1 included
+        code = main(["energies", "--family", "u2", "--D", "6", "--beta-kappa", "1e-300"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.endswith("(the interval is s = ln(kappa r) for r in [1.28e-302, 78.3], kappa=1)\n"), err
+
     def test_empty_support_window_is_numerical_failure(self, capsys):
         code = main(["energies", "--family", "u2", "--D", "6", "--beta-kappa", "1e300"])
         assert code == 3
@@ -240,6 +247,17 @@ class TestScalingCommand:
 
     def test_jobs_flag(self, capsys):
         assert main(["scaling", "--quantity", "fermion", "--N", "1:30", "--jobs", "2"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["scaling", "--quantity", "fermion", "--N", "1:30", "--jobs", "0"],
+        ["scaling", "--quantity", "slope", "--family", "u2", "--N", "2:20", "--jobs", "-3"],
+        ["verify", "--only", "bessel", "--jobs", "0"],
+    ])
+    def test_jobs_below_one_is_invalid_input(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --jobs must be an integer >= 1, got {int(argv[-1])}\n"
 
 
 class TestPropagateCommand:
@@ -368,6 +386,20 @@ class TestPropagateCommand:
         assert "note:" not in err
         ratio = float(err.split("ratio=")[1].split()[0])
         assert ratio == pytest.approx(1.0, rel=1e-2)
+
+    def test_divergent_slope_is_invalid_input(self, tmp_path, monkeypatch, capsys):
+        # <r^-3> diverges for u0 at D=2: no slope exists to measure, so no step runs
+        monkeypatch.setattr(cli, "propagate_free", lambda *args, **kwargs: pytest.fail("stepped"))
+        out = tmp_path / "r.csv"
+        code = main(["propagate", "--family", "u0", "--D", "2", "--n-points", "1024",
+                     "--output", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no Raman-Nath slope to measure: "
+                                       "<r^-3> does not exist for u0 at D=2"), captured.err
+        assert not out.exists()
+        assert not (tmp_path / "r.config.json").exists()
 
     def test_profile_not_vanishing_at_origin_rejected(self, capsys):
         assert main(["propagate", "--family", "u0", "--D", "1", "--n-points", "1024"]) == 2
@@ -608,6 +640,16 @@ class TestConfigFile:
         config.write_text(json.dumps({**base, key: value}))
         assert main([command, "--config", str(config)]) == 2
         assert f"config key {key!r} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["scaling", "--quantity", "fermion", "--N", "1:30"],
+        ["verify", "--only", "bessel"],
+    ])
+    def test_jobs_below_one_in_config(self, argv, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"jobs": 0}))
+        assert main([*argv, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "error: --jobs must be an integer >= 1, got 0\n"
 
     def test_config_must_hold_an_object(self, tmp_path, capsys):
         config = tmp_path / "run.json"

@@ -12,10 +12,12 @@ from hyperradial import (
     HyperDimension,
     PhysicalParams,
     RadialGrid,
+    StateFamily,
     Tolerance,
     bessel_k,
     bessel_k_integral,
     bessel_k_ratio,
+    energy_scaling_table,
     epsilon,
     fermion_scaling_table,
     fermion_trap_energy,
@@ -23,6 +25,7 @@ from hyperradial import (
     log_gamma,
     make_state,
     propagate_free,
+    slope_scaling_table,
     strength,
 )
 
@@ -133,6 +136,12 @@ COUNTS = {
     "fermion_trap_energy": ("particle count", lambda v: fermion_trap_energy(v, PhysicalParams()), 1, 3),
     "fermion_scaling_table":
         ("N", lambda v: fermion_scaling_table([v, *range(10, 19)], PhysicalParams()), 1, 3),
+    "fermion_scaling_table-jobs":
+        ("jobs", lambda v: fermion_scaling_table(range(1, 20), PhysicalParams(), jobs=v), 1, 2),
+    "energy_scaling_table-jobs":
+        ("jobs", lambda v: energy_scaling_table(StateFamily.U2, range(2, 20), PhysicalParams(), jobs=v), 1, 2),
+    "slope_scaling_table-jobs":
+        ("jobs", lambda v: slope_scaling_table(StateFamily.U2, range(2, 20), PhysicalParams(), jobs=v), 1, 2),
     "bessel_k": ("Bessel order", lambda v: bessel_k(v, 1.0), 0, 1),
     "bessel_k_integral": ("Bessel order", lambda v: bessel_k_integral(v, 1.0), 0, 1),
 }

@@ -292,17 +292,17 @@ class TestEvaluation:
                                            (StateFamily.U0, 6), (StateFamily.U2, 30)])
     def test_no_radius_gate_per_integrand_evaluation(self, family, d, params, gate_calls, monkeypatch):
         # the quadrature nodes lie inside the support window, checked where it is made, so
-        # neither the density nor a weight checks them.  The nodes are taken in x = kappa r,
+        # neither the density nor a weight checks them.  The nodes are taken in s = ln(kappa r),
         # the same at kappa = 1e100
-        integrate_radial, evaluations = states.integrate_radial, []
+        integrate, evaluations = states.integrate, []
 
-        def counting_integrate(f, r_lo, r_hi):
-            def integrand(r):
-                evaluations.append(r)
-                return f(r)
-            return integrate_radial(integrand, r_lo, r_hi)
+        def counting_integrate(f, s_lo, s_hi):
+            def integrand(s):
+                evaluations.append(s)
+                return f(s)
+            return integrate(integrand, s_lo, s_hi)
 
-        monkeypatch.setattr(states, "integrate_radial", counting_integrate)
+        monkeypatch.setattr(states, "integrate", counting_integrate)
         far = PhysicalParams(kappa=1e100, beta=params.beta_kappa / 1e100)
         assert far.beta_kappa == params.beta_kappa
         runs = {
