@@ -251,6 +251,8 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
     except DivergentIntegralError as exc:
         raise DomainError(f"no Raman-Nath slope to measure: {exc}") from None
     if args.r_max is not None:
+        if not 0 < args.r_max < math.inf:  # also rejects NaN
+            raise DomainError(f"--r-max must be a positive finite number, got {args.r_max!r}")
         grid = RadialGrid.uniform(args.r_max, args.n_points)
     else:
         grid = RadialGrid.for_state(state, args.n_points)

@@ -14,10 +14,13 @@ Crank-Nicolson propagator as the independent numerical check.
 
 Propagator notes
 ----------------
-The Cayley form A u_new = B u, A = 1 + i dt H / 2 hbar, B = 1 - i dt H / 2 hbar,
-with a 3-point Laplacian is unconditionally stable and exactly unitary in
-the discrete l2 norm, so norm drift measures only solver round-off (about
-2e-13 per 1e4 steps).  Since B = 2 - A, each step solves the constant
+The step runs in x = kappa r and tau = eps t / hbar, on u_x at the nodes
+x_j = kappa r_j (spacing h) under H_h = -Delta_h + V_Q/eps (Delta_h the 3-point
+Laplacian), which hold no hbar, M or kappa: an exact power-of-two change of
+units leaves <p_r> and the norm the same doubles.  The Cayley form
+A u_new = B u, A = 1 + i dtau H_h / 2, is unconditionally stable and exactly
+unitary in the discrete l2 norm, so norm drift measures only solver round-off
+(about 2e-13 per 1e4 steps).  Since B = 2 - A, each step solves the constant
 tridiagonal system (A/2) y = u, LU-factored once, and sets u_new = y - u
 (Goldberg, Schey & Schwartz, Am. J. Phys. 35, 177 (1967)).  The diagonal of
 A/2 outweighs its off-diagonal, so the LU factors (LAPACK zgttrf) need no row
@@ -31,11 +34,11 @@ rows hold A/2 until zgttrf has copied it, and 1/d overwrites zgttrf's d, so a
 run keeps of its setup only the band and 1/d.  The samples go into one float64
 record of three rows, t, <p_r> and norm, sized from n_steps and record_every
 before the first step; the returned series are its rows.  A sample's
-observables are one vdot each: the norm is h * <u, u>, and with zero walls the
-central-difference <p_r> is hbar Im sum conj(u_j) u_(j+1), which is exactly
-zero for a real profile.  Both routines are loaded once per process by
-_tridiagonal_lapack, straight from scipy's _flapack extension: neither the
-scipy package nor scipy.linalg is imported.
+observables are one vdot each: the norm is h <u, u>, and with zero walls the
+central-difference <p_r> is Im S_1, S_1 = sum conj(u_j) u_(j+1), in units of
+hbar kappa, exactly zero for a real profile.  Both routines are loaded once
+per process by _tridiagonal_lapack, straight from scipy's _flapack extension:
+neither the scipy package nor scipy.linalg is imported.
 
 A step solves only the leading nodes the state occupies: every node where
 the sampled |u|^2 is at least eps^2 of its peak (eps the double epsilon,
@@ -367,22 +370,22 @@ def _tridiagonal_lapack() -> tuple[Callable, Callable]:
     return flapack.zgttrf, flapack.ztbtrs
 
 
-def _initial_profile(state: RadialState, r: np.ndarray, h: float) -> tuple[np.ndarray, float, int]:
-    """The state on the nodes r, normalized on the grid, its peak |u|^2 and its window end;
-    PreconditionError when it underflows or overflows there or the grid does not contain or
-    resolve it.  The window is the leading nodes up to the first one past the last where
-    |u|^2 >= _WINDOW_FLOOR * peak; that first node past is the one the run watches."""
+def _initial_profile(state: RadialState, x: np.ndarray, h: float) -> tuple[np.ndarray, float, int]:
+    """u_x on the nodes x of spacing h, normalized to h sum |u|^2 = 1, its peak |u|^2 and its
+    window end; PreconditionError when it underflows or overflows there or the grid does not
+    contain or resolve it.  The window is the leading nodes up to the first one past the last
+    where |u|^2 >= _WINDOW_FLOOR * peak; that first node past is the one the run watches."""
     import numpy as np
 
     with np.errstate(over="ignore"):  # an overflow is reported by the norm check below
-        u = np.asarray(np.exp(state._log_u(r)), dtype=np.complex128)
+        u = np.asarray(np.exp(state._log_u_x(x)), dtype=np.complex128)
         norm_sum = float(np.sum(np.abs(u) ** 2))
     if not 0 < norm_sum < math.inf:
         raise PreconditionError(
             f"the {state.family.value} profile at D={state.dim.d}, "
             f"beta*kappa={state.params.beta_kappa:g} "
             f"{'underflows' if norm_sum == 0 else 'overflows'} on the grid: "
-            f"|u|^2 sums to {norm_sum:g} over its {r.size} nodes"
+            f"|u|^2 sums to {norm_sum:g} over its {x.size} nodes"
         )
     u /= math.sqrt(norm_sum * h)
     density = np.abs(u) ** 2
@@ -397,48 +400,38 @@ def _initial_profile(state: RadialState, r: np.ndarray, h: float) -> tuple[np.nd
             "grid under-resolves the state: fewer than 20 points across the "
             "|u|^2 peak at half maximum"
         )
-    past_last = r.size - int(np.argmax(density[::-1] >= _WINDOW_FLOOR * peak))
-    return u, peak, min(past_last + 1, r.size)
+    past_last = x.size - int(np.argmax(density[::-1] >= _WINDOW_FLOOR * peak))
+    return u, peak, min(past_last + 1, x.size)
 
 
-def _cayley_factors(state: RadialState, r: np.ndarray, h: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """The band of the unit factors U1, L1 of A/2 and 1/d on the nodes r, made in place: the
-    band's rows stage A/2 for zgttrf, and 1/d overwrites zgttrf's d.  These two are all of
-    the setup that a run keeps; V_Q, the H diagonal and the other zgttrf outputs die here."""
+def _cayley_factors(v: np.ndarray, h: float, dtau: float) -> tuple[np.ndarray, np.ndarray]:
+    """The band of the unit factors U1, L1 of A/2 and 1/d for H_h = -Delta_h + v, made in place:
+    the band's rows stage A/2 for zgttrf, and 1/d overwrites zgttrf's d.  These two are all of
+    the setup that a run keeps; the H_h diagonal and the other zgttrf outputs die here."""
     import numpy as np
 
-    params = state.params
-    hbar, mass, kappa = params.hbar, params.mass, params.kappa
-    try:
-        kinetic = hbar**2 / (2.0 * mass * h**2)
-    except ArithmeticError:  # h**2 overflows (h > 1) or underflows to 0
-        kinetic = 0.0 if h > 1.0 else math.inf
-    if not 0.0 < kinetic < math.inf:
-        raise OverflowError(f"the kinetic coupling hbar^2/(2 M h^2) "
-                            f"{'underflows' if h > 1.0 else 'overflows'} at spacing "
-                            f"h={h:g}, kappa={kappa:g} (hbar={hbar:g}, mass={mass:g})")
-    # B = 1 - alpha H = 2 - A, alpha = i dt / 2 hbar, so A^-1 B u = y - u with (A/2) y = u.
+    # B = 1 - alpha H_h = 2 - A, alpha = i dtau / 2, so A^-1 B u = y - u with (A/2) y = u.
     # A/2 = L U is factored once (LAPACK zgttrf) without row interchanges: its diagonal
-    # 2K + V_Q is at least 1.75 K (V_Q attractive at D = 2), its off-diagonal K.  With
+    # 2c + v is at least 1.75 c (v attractive at D = 2), its off-diagonal c = 1/h^2.  With
     # U = D U1 and L1 = D^-1 L D, each step solves L1 U1 y = u / d by two in-place
     # unit-diagonal banded solves (LAPACK ztbtrs, kd = 1).  One LAPACK band (ldab = 2,
     # column-major) holds both unit factors: row 0 the U1 superdiagonal, which uplo="U"
     # reads, row 1 the L1 subdiagonal, which uplo="L" reads.  Each row is the other
     # factor's diagonal, never read under diag="U".  Until zgttrf has copied them, its
-    # rows hold the diagonal 0.5 + 0.5 alpha (2K + eps V_Q) and off-diagonal of A/2
-    band = np.zeros((2, r.size), dtype=np.complex128, order="F")
+    # rows hold the diagonal 0.5 + 0.5 alpha (2c + v) and off-diagonal of A/2
+    c = 1.0 / h**2
+    band = np.zeros((2, v.size), dtype=np.complex128, order="F")
     dd, off = band[0], band[1, :-1]
-    np.multiply(params.epsilon(), _v_q(state.dim, kappa * r), out=dd)
-    np.add(2.0 * kinetic, dd, out=dd)
-    alpha = 1j * dt / (2.0 * hbar)
+    np.add(2.0 * c, v, out=dd)
+    alpha = 1j * dtau / 2.0
     np.multiply(0.5 * alpha, dd, out=dd)
     np.add(0.5, dd, out=dd)
-    off.fill(0.5 * alpha * -kinetic)
+    off.fill(0.5 * alpha * -c)
     gttrf = _tridiagonal_lapack()[0]
     dl_f, d_f, du_f, du2_f, ipiv, info = gttrf(off, dd, off)
     if info != 0:
         raise PropagationError(f"tridiagonal factorization failed (LAPACK info={info})")
-    if not np.array_equal(ipiv, np.arange(1, r.size + 1, dtype=ipiv.dtype)) or du2_f.any():
+    if not np.array_equal(ipiv, np.arange(1, v.size + 1, dtype=ipiv.dtype)) or du2_f.any():
         raise PropagationError("tridiagonal factorization interchanged rows; the "
                                "Crank-Nicolson step needs a pivot-free LU")
     np.divide(du_f, d_f[:-1], out=band[0, 1:])
@@ -484,6 +477,8 @@ def propagate_free(
         When the profile does not vanish at the origin (u0 at D = 1), where the
         grid puts its inner Dirichlet wall, or, before dt is set, when |u|^2 under-
         or overflows on the grid or the grid does not contain or resolve the state.
+    OverflowError
+        When epsilon or the step's coefficients dt H / (2 hbar) leave double range.
     PropagationError
         On norm drift beyond NORM_DRIFT_LIMIT (1e-4) or when |u|^2 at the
         outer wall exceeds REFLECTION_LIMIT (1e-8) of its initial peak
@@ -498,8 +493,9 @@ def propagate_free(
         )
     if grid is None:
         grid = RadialGrid.for_state(state)
-    r, h, n = grid.points(), grid.spacing, grid.n_points
-    u, peak_density, m = _initial_profile(state, r, h)
+    params, n = state.params, grid.n_points
+    x, h = params.kappa * grid.points(), params.kappa * grid.spacing
+    u, peak_density, m = _initial_profile(state, x, h)
     if dt is None:
         caps = _time_step_caps(state, grid)
         dt_cap = min(caps, key=caps.get)
@@ -513,19 +509,22 @@ def propagate_free(
     _require_integer("record_every", record_every, 1)
     _require_integer("progress_every", progress_every, 1)
 
-    band, dinv = _cayley_factors(state, r, h, dt)
-    kappa = state.params.kappa
+    v, dtau = _v_q(state.dim, x), params.epsilon() * dt / params.hbar
+    if not 0.25 * dtau * (2.0 / h**2 + float(v.max())) < math.inf:
+        raise OverflowError(f"the Crank-Nicolson coefficients dt H/(2 hbar) overflow at dt={dt:g}, "
+                            f"kappa={params.kappa:g} (hbar={params.hbar:g}, mass={params.mass:g})")
+    band, dinv = _cayley_factors(v, h, dtau)
     # One float64 record whose rows are the returned series, with a sample at t = 0, at
     # every record_every-th step and at the last step
     n_samples = 1 + n_steps // record_every + (n_steps % record_every != 0)
     times, p_r_mean, norm = np.empty((3, n_samples))
 
     def observe(i: int, t: float, vec: np.ndarray) -> None:
-        # sample i.  Central-difference d/dr between zero walls: sum conj(u_j)
-        # (u_{j+1} - u_{j-1}) is S - conj(S) with S = sum conj(u_j) u_{j+1}, so a real
-        # profile gives exactly zero
+        # sample i.  Central-difference d/dx between zero walls: sum conj(u_j)
+        # (u_{j+1} - u_{j-1}) is S - conj(S) with S = sum conj(u_j) u_{j+1}, so <p_r> is
+        # Im S in units of hbar kappa, exactly zero for a real profile
         times[i] = t
-        p_r_mean[i] = np.vdot(vec[:-1], vec[1:]).imag / kappa
+        p_r_mean[i] = np.vdot(vec[:-1], vec[1:]).imag
         norm[i] = np.vdot(vec, vec).real * h
 
     # Nodes past the window hold zeros in u and y, so a step solves the leading m rows of

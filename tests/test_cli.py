@@ -75,11 +75,23 @@ class TestEnergiesCommand:
 
 
 class TestInvalidScales:
-    @pytest.mark.parametrize("flag", ["--kappa", "--beta-kappa"])
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_non_positive_flag(self, flag, value, capsys):
-        assert main(["energies", "--family", "u2", "--D", "6", flag, value]) == 2
-        assert "must be a positive number" in capsys.readouterr().err
+    @pytest.mark.parametrize("value, flag", [
+        *((value, flag) for value in ("0", "-1") for flag in ("--kappa", "--beta-kappa")),
+        # --r-max outside (0, inf) on the command line and as a --config key
+        *((value, flag) for flag in ("--r-max", "r_max") for value in ("0", "-1", "nan", "inf")),
+    ])
+    def test_non_positive_flag(self, value, flag, tmp_path, capsys):
+        if flag == "r_max":
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({flag: float(value)}))
+            argv = ["propagate", "--family", "u0", "--D", "6", "--config", str(config)]
+        else:
+            command = "propagate" if flag == "--r-max" else "energies"
+            argv = [command, "--family", "u2", "--D", "6", flag, value]
+        assert main(argv) == 2
+        named = ("--r-max must be a positive finite number" if flag in ("--r-max", "r_max")
+                 else f"{flag} must be a positive number")
+        assert capsys.readouterr().err == f"error: {named}, got {float(value)!r}\n"
 
     def test_zero_kappa_in_scaling(self, capsys):
         assert main(["scaling", "--quantity", "fermion", "--N", "1:20", "--kappa", "0"]) == 2
@@ -118,24 +130,26 @@ class TestInvalidScales:
          "epsilon = (hbar*kappa)^2/(2M) underflows", "kappa=1e-160"),
         (["scaling", "--quantity", "slope", "--family", "u2", "--N", "2:12", "--kappa", "1e153"],
          "the Raman-Nath slope overflows", "kappa=1e+153"),
+        # an explicit dt and n_steps skip the step policy; the step's dtau = eps dt / hbar
+        # names epsilon before any coefficient is formed
+        (["propagate", "--family", "u0", "--D", "6", "--kappa", "1e-160", "--n-points", "1024",
+          "--dt", "1", "--n-steps", "16"], "epsilon = (hbar*kappa)^2/(2M) underflows", "kappa=1e-160"),
+        (["propagate", "--family", "u0", "--D", "6", "--kappa", "1e160", "--n-points", "1024",
+          "--dt", "1", "--n-steps", "16"], "epsilon = (hbar*kappa)^2/(2M) overflows", "kappa=1e+160"),
+        (["propagate", "--family", "u0", "--D", "6", "--kappa", "1e308", "--n-points", "1024"],
+         "epsilon = (hbar*kappa)^2/(2M) overflows", "kappa=1e+308"),
+        # the Cayley coefficients leave double range before zgttrf, with no numpy warning
+        (["propagate", "--family", "u0", "--D", "6", "--n-points", "1024", "--n-steps", "16",
+          "--dt", "1e308"],
+         "the Crank-Nicolson coefficients dt H/(2 hbar) overflow", "dt=1e+308, kappa=1 (hbar=1"),
+        (["propagate", "--family", "u0", "--D", "6", "--n-points", "1024", "--n-steps", "16",
+          "--dt", "1e305", "--kappa", "1e5"],
+         "the Crank-Nicolson coefficients dt H/(2 hbar) overflow", "dt=1e+305, kappa=100000 (hbar=1"),
     ])
     def test_overflow_names_quantity_and_parameter(self, argv, quantity, parameter, capsys):
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert quantity in err and parameter in err, err
-
-    @pytest.mark.parametrize("kappa, spacing, flows", [("1e-160", "h=1.32499e+158", "underflows"),
-                                                       ("1e160", "h=1.32499e-162", "overflows")])
-    def test_kinetic_coupling_out_of_range_names_spacing_and_kappa(self, kappa, spacing, flows,
-                                                                   capsys):
-        # an explicit dt and n_steps skip the step policy, so epsilon is never formed;
-        # h**2 overflows (raised) or underflows to 0 (a division by zero) in hbar^2/(2 M h^2)
-        argv = ["propagate", "--family", "u0", "--D", "6", "--kappa", kappa,
-                "--n-points", "1024", "--dt", "1", "--n-steps", "16"]
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"numerical failure: the kinetic coupling hbar^2/(2 M h^2) {flows}")
-        assert spacing in err and f"kappa={float(kappa):g}" in err, err
 
     def test_non_finite_integrand_is_named_without_warnings(self, capsys):
         # beta*kappa = 1e-300 puts the u2 support window down to r ~ 1e-302, where

@@ -526,15 +526,47 @@ class TestPropagation:
                                match=r"u2 profile at D=6, beta\*kappa=1e\+100 underflows on the grid"):
                 propagate_free(state, RadialGrid.for_state(state, 1024))
 
-    def test_profile_overflowing_on_the_grid_rejected(self):
-        # at kappa = 1e308 |u|^2 ~ kappa sums to inf over the nodes; the sampling names
-        # that before the step policy forms epsilon, and without a numpy warning
+    def test_epsilon_overflow_is_named_before_any_step(self, monkeypatch):
+        # at kappa = 1e308 the profile is sampled in x = kappa r, where it cannot overflow;
+        # the step policy then names epsilon, before any factorization and without a numpy warning
+        from hyperradial import dynamics
+
+        monkeypatch.setattr(dynamics, "_tridiagonal_lapack", lambda: pytest.fail("factored"))
         state = make_state(U0, 6, PhysicalParams(kappa=1e308, beta=1e-308))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(PreconditionError,
-                               match=r"u0 profile at D=6, beta\*kappa=1 overflows on the grid"):
+            with pytest.raises(OverflowError, match=re.escape(
+                    "epsilon = (hbar*kappa)^2/(2M) overflows at kappa=1e+308")):
                 propagate_free(state, RadialGrid.for_state(state, 1024))
+
+    @pytest.mark.parametrize("dt, kappa", [(1e308, 1.0), (1e305, 1e5)])
+    def test_coefficient_overflow_names_dt_and_kappa(self, dt, kappa, monkeypatch):
+        # the step's coefficients dt H/(2 hbar) leave double range: named before zgttrf,
+        # which would otherwise pivot on inf and nan
+        from hyperradial import dynamics
+
+        monkeypatch.setattr(dynamics, "_tridiagonal_lapack", lambda: pytest.fail("factored"))
+        state = make_state(U0, 6, PhysicalParams(kappa=kappa, beta=1.0 / kappa))
+        with pytest.raises(OverflowError, match=re.escape(
+                f"the Crank-Nicolson coefficients dt H/(2 hbar) overflow at dt={dt:g}, kappa={kappa:g} ")):
+            propagate_free(state, RadialGrid.for_state(state, 1024), dt, 16)
+
+    @pytest.mark.parametrize("family, d", [(U0, 6), (U1, 9), (U2, 30)])
+    def test_series_are_unit_invariant(self, family, d):
+        # the step runs in x = kappa r and tau = eps t / hbar, so an exact power-of-two
+        # change of kappa, hbar or M leaves every double of <p_r> and the norm the same
+        def run(kappa, hbar, mass):
+            params = PhysicalParams(hbar=hbar, mass=mass, kappa=kappa, beta=1.0 / kappa)
+            state = make_state(family, d, params)
+            return propagate_free(state, RadialGrid.for_state(state, 2048))
+
+        unit = run(1.0, 1.0, 1.0)
+        assert np.max(unit.p_r_mean) > 0.0
+        for units in [(2.0**-40, 1.0, 1.0), (2.0**300, 1.0, 1.0), (2.0**-7, 4.0, 0.5)]:
+            scaled = run(*units)
+            assert np.array_equal(scaled.p_r_mean, unit.p_r_mean), units
+            assert np.array_equal(scaled.norm, unit.norm), units
+            assert scaled.dt_cap == unit.dt_cap, units
 
     def test_row_interchange_in_the_factorization_raises(self, params, monkeypatch):
         from hyperradial import dynamics
