@@ -34,7 +34,7 @@ from .core import (
     PhysicalParams,
     PreconditionError,
 )
-from .dynamics import DEFAULT_N_POINTS, RadialGrid, fit_window, propagate_free
+from .dynamics import DEFAULT_N_POINTS, RadialGrid, fit_window, linearity_window, propagate_free
 from .energy import CLOSED_FORM, QUADRATURE, _check_inverse_moment, energy_report
 from .scaling import (
     energy_scaling_table,
@@ -259,6 +259,11 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
     result = propagate_free(state, grid, args.dt, args.n_steps, record_every=args.record_every)
 
     # fit before writing, so a run that cannot be fitted exits 2 and leaves no files
+    first, linear = result.times[1], linearity_window(state)
+    if first > linear:  # every sample lies past the linear regime; a fit there has no slope to find
+        raise PreconditionError(f"--dt {_fmt(result.dt)} x --record-every {args.record_every} puts the "
+                                f"first sample at t={_fmt(first)}, past the linearity window "
+                                f"t <= {_fmt(linear)}: no initial slope can be fitted")
     window = fit_window(state)
     try:
         measured = result.measured_slope(window)

@@ -15,30 +15,42 @@ Crank-Nicolson propagator as the independent numerical check.
 Propagator notes
 ----------------
 The step runs in x = kappa r and tau = eps t / hbar, on u_x at the nodes
-x_j = kappa r_j (spacing h) under H_h = -Delta_h + V_Q/eps (Delta_h the 3-point
-Laplacian), which hold no hbar, M or kappa: an exact power-of-two change of
-units leaves <p_r> and the norm the same doubles.  The Cayley form
-A u_new = B u, A = 1 + i dtau H_h / 2, is unconditionally stable and exactly
-unitary in the discrete l2 norm, so norm drift measures only solver round-off
-(about 2e-13 per 1e4 steps).  Since B = 2 - A, each step solves the constant
-tridiagonal system (A/2) y = u, LU-factored once, and sets u_new = y - u
-(Goldberg, Schey & Schwartz, Am. J. Phys. 35, 177 (1967)).  The diagonal of
-A/2 outweighs its off-diagonal, so the LU factors (LAPACK zgttrf) need no row
-interchange, and a factorization that made one raises PropagationError.
-Writing U = D U1 and L1 = D^-1 L D, a step scales u by 1/d and makes two
-unit-diagonal bidiagonal solves in place (LAPACK ztbtrs), with no pivot test
-or division per row.  One (2, n) band holds both factors: the U1
-superdiagonal in row 0 and the L1 subdiagonal in row 1, each row where the
-other factor keeps its unit diagonal, which ztbtrs never reads.  The band's
-rows hold A/2 until zgttrf has copied it, and 1/d overwrites zgttrf's d, so a
-run keeps of its setup only the band and 1/d.  The samples go into one float64
-record of three rows, t, <p_r> and norm, sized from n_steps and record_every
-before the first step; the returned series are its rows.  A sample's
-observables are one vdot each: the norm is h <u, u>, and with zero walls the
-central-difference <p_r> is Im S_1, S_1 = sum conj(u_j) u_(j+1), in units of
-hbar kappa, exactly zero for a real profile.  Both routines are loaded once
-per process by _tridiagonal_lapack, straight from scipy's _flapack extension:
-neither the scipy package nor scipy.linalg is imported.
+x_j = kappa r_j (spacing h) under H_h = -Delta_h + v (Delta_h the 3-point
+Laplacian).  The free expansion takes v = V_Q/eps, which holds no hbar, M or
+kappa: an exact power-of-two change of units leaves <p_r> and the norm the
+same doubles.  The Cayley form A u_new = B u, A = 1 + i dtau H_h / 2, is
+unconditionally stable and exactly unitary in the discrete l2 norm, so norm
+drift measures only solver round-off (about 2e-13 per 1e4 steps).  Since
+B = 2 - A, each step solves the constant tridiagonal system (A/2) y = u,
+LU-factored once, and sets u_new = y - u (Goldberg, Schey & Schwartz, Am. J.
+Phys. 35, 177 (1967)).
+
+One private generator, _cayley_steps, owns everything that knows the band
+layout or LAPACK: the factors, their checks, the two solves of a step, the
+solve window and its full-grid redo, and the pair of buffers the state
+alternates between.  It takes any diagonal v, so a trap left on (V2/eps for
+u2, V_Q/eps + x^2 for u0) makes the stationarity test of the same stepper.
+The diagonal 2c + v of A/2 (c = 1/h^2) outweighs its off-diagonal, so the LU
+factors (LAPACK zgttrf) need no row interchange, and a factorization that
+made one raises PropagationError.  Writing U = D U1 and L1 = D^-1 L D, a
+step scales u by 1/d and makes two unit-diagonal bidiagonal solves in place
+(LAPACK ztbtrs), with no pivot test or division per row.  One (2, n) band
+holds both factors: the U1 superdiagonal in row 0 and the L1 subdiagonal in
+row 1, each row where the other factor keeps its unit diagonal, which ztbtrs
+never reads.  The band's rows hold A/2 until zgttrf has copied it, and 1/d
+overwrites zgttrf's d, so a run keeps of its setup only the band and 1/d.
+Both routines are loaded once per process by _tridiagonal_lapack, straight
+from scipy's _flapack extension: neither the scipy package nor scipy.linalg
+is imported.
+
+propagate_free keeps what concerns the free expansion: the input checks, the
+step policy and dt_cap, the overflow checks, the record, the
+norm-drift and reflection aborts and the progress hook.  The samples go into
+one float64 record of three rows, t, <p_r> and norm, sized from n_steps and
+record_every before the first step; the returned series are its rows.  A
+sample's observables are one vdot each: the norm is h <u, u>, and with zero
+walls the central-difference <p_r> is Im S_1, S_1 = sum conj(u_j) u_(j+1),
+in units of hbar kappa, exactly zero for a real profile.
 
 A step solves only the leading nodes the state occupies: every node where
 the sampled |u|^2 is at least eps^2 of its peak (eps the double epsilon,
@@ -52,7 +64,7 @@ through A^-1 only by about eps in amplitude, which can still reach an ulp
 of a sum: that the recorded doubles stay the same is measured, not proven
 (with the step policy's dt, every run of the benchmark's expansion pass
 and the CLI outputs compared in CHANGES.md are bit-identical to a full-grid
-run).  After every step the run reads the window's last node; a step that
+run).  After every step the stepper reads the window's last node; a step that
 lifts its |u|^2 to the floor is redone on the full grid from the values
 before it, the new nodes starting from zero, and every later step solves
 every node.  So a large explicit dt, one step of which carries the tail past
@@ -64,7 +76,9 @@ steps every node.
 
 The grid is n_points nodes r_j = (j + 1) h between Dirichlet walls at the
 origin and at (n_points + 1) h, so the profile has to vanish at the origin:
-u0 at D = 1, a half-Gaussian with u(0) = N0, is rejected.  Accuracy, not
+u0 at D = 1, a half-Gaussian with u(0) = N0, is rejected.  An outer node
+x = kappa r_max past double range raises OverflowError naming kappa and r_max
+before numpy samples the grid.  Accuracy, not
 stability, sets the time step.  One table names its caps, in the order that
 settles a tie: the kinetic phase per step across one cell, fit_window /
 MIN_FIT_STEPS (so the slope fit has samples at every D), and the centrifugal
@@ -83,7 +97,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING, Callable, Optional, TextIO
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, TextIO
 
 from .core import (
     DivergentIntegralError,
@@ -404,10 +418,12 @@ def _initial_profile(state: RadialState, x: np.ndarray, h: float) -> tuple[np.nd
     return u, peak, min(past_last + 1, x.size)
 
 
-def _cayley_factors(v: np.ndarray, h: float, dtau: float) -> tuple[np.ndarray, np.ndarray]:
-    """The band of the unit factors U1, L1 of A/2 and 1/d for H_h = -Delta_h + v, made in place:
-    the band's rows stage A/2 for zgttrf, and 1/d overwrites zgttrf's d.  These two are all of
-    the setup that a run keeps; the H_h diagonal and the other zgttrf outputs die here."""
+def _cayley_steps(u: np.ndarray, v: np.ndarray, h: float, dtau: float, n_steps: int, window: int,
+                  floor: float) -> Iterator[tuple[int, np.ndarray]]:
+    """Cayley steps of u under H_h = -Delta_h + v (spacing h, step dtau), yielding (step, u[:window])
+    for step 0 .. n_steps.  The state alternates between u and one buffer, so a view holds its step
+    until the next is made.  A step solves the leading window nodes, the rest held at zero; one that
+    lifts the last of them to |u|^2 >= floor is redone on every node, and so is every later step."""
     import numpy as np
 
     # B = 1 - alpha H_h = 2 - A, alpha = i dtau / 2, so A^-1 B u = y - u with (A/2) y = u.
@@ -419,25 +435,46 @@ def _cayley_factors(v: np.ndarray, h: float, dtau: float) -> tuple[np.ndarray, n
     # reads, row 1 the L1 subdiagonal, which uplo="L" reads.  Each row is the other
     # factor's diagonal, never read under diag="U".  Until zgttrf has copied them, its
     # rows hold the diagonal 0.5 + 0.5 alpha (2c + v) and off-diagonal of A/2
-    c = 1.0 / h**2
-    band = np.zeros((2, v.size), dtype=np.complex128, order="F")
+    c, n = 1.0 / h**2, u.size
+    band = np.zeros((2, n), dtype=np.complex128, order="F")
     dd, off = band[0], band[1, :-1]
     np.add(2.0 * c, v, out=dd)
     alpha = 1j * dtau / 2.0
     np.multiply(0.5 * alpha, dd, out=dd)
     np.add(0.5, dd, out=dd)
     off.fill(0.5 * alpha * -c)
-    gttrf = _tridiagonal_lapack()[0]
+    gttrf, tbtrs = _tridiagonal_lapack()
     dl_f, d_f, du_f, du2_f, ipiv, info = gttrf(off, dd, off)
     if info != 0:
         raise PropagationError(f"tridiagonal factorization failed (LAPACK info={info})")
-    if not np.array_equal(ipiv, np.arange(1, v.size + 1, dtype=ipiv.dtype)) or du2_f.any():
+    if not np.array_equal(ipiv, np.arange(1, n + 1, dtype=ipiv.dtype)) or du2_f.any():
         raise PropagationError("tridiagonal factorization interchanged rows; the "
                                "Crank-Nicolson step needs a pivot-free LU")
     np.divide(du_f, d_f[:-1], out=band[0, 1:])
     np.multiply(dl_f, d_f[:-1], out=band[1, :-1])
     np.divide(band[1, :-1], d_f[1:], out=band[1, :-1])
-    return band, np.divide(1.0, d_f, out=d_f)
+    dinv = np.divide(1.0, d_f, out=d_f)
+    del dl_f, du_f, du2_f, ipiv  # of the setup a run keeps only the band and 1/d
+
+    # Nodes past the window hold zeros in u and y, so a step solves the leading rows of the
+    # factors: without pivoting that is the same Cayley step with its wall moved to the window's end
+    u[window:] = 0.0
+    y = np.zeros_like(u)
+    yield 0, u[:window]
+    for step in range(1, n_steps + 1):
+        for k in (window, n):
+            # y[:k] = A^-1 B u[:k] with the Dirichlet wall at node k
+            y_k = np.multiply(u[:k], dinv[:k], out=y[:k])
+            for uplo in "LU":
+                y_k, info = tbtrs(band[:, :k], y_k, uplo=uplo, diag="U", overwrite_b=1)
+                if info != 0:
+                    raise PropagationError(f"banded solve failed at step {step} (info={info})")
+            np.subtract(y_k, u[:k], out=y[:k])
+            if k == n or abs(y[k - 1]) ** 2 < floor:
+                break
+        window = k
+        u, y = y, u
+        yield step, u[:window]
 
 
 def propagate_free(
@@ -478,7 +515,8 @@ def propagate_free(
         grid puts its inner Dirichlet wall, or, before dt is set, when |u|^2 under-
         or overflows on the grid or the grid does not contain or resolve the state.
     OverflowError
-        When epsilon or the step's coefficients dt H / (2 hbar) leave double range.
+        When kappa r_max, epsilon or the step's coefficients dt H / (2 hbar) leave double
+        range.
     PropagationError
         On norm drift beyond NORM_DRIFT_LIMIT (1e-4) or when |u|^2 at the
         outer wall exceeds REFLECTION_LIMIT (1e-8) of its initial peak
@@ -493,7 +531,10 @@ def propagate_free(
         )
     if grid is None:
         grid = RadialGrid.for_state(state)
-    params, n = state.params, grid.n_points
+    params = state.params
+    if params.kappa * grid.r_max == math.inf:  # a float product, checked before numpy would warn
+        raise OverflowError(f"the outer node x = kappa*r_max overflows at kappa={params.kappa:g}, "
+                            f"r_max={grid.r_max:g}")
     x, h = params.kappa * grid.points(), params.kappa * grid.spacing
     u, peak_density, m = _initial_profile(state, x, h)
     if dt is None:
@@ -513,61 +554,32 @@ def propagate_free(
     if not 0.25 * dtau * (2.0 / h**2 + float(v.max())) < math.inf:
         raise OverflowError(f"the Crank-Nicolson coefficients dt H/(2 hbar) overflow at dt={dt:g}, "
                             f"kappa={params.kappa:g} (hbar={params.hbar:g}, mass={params.mass:g})")
-    band, dinv = _cayley_factors(v, h, dtau)
     # One float64 record whose rows are the returned series, with a sample at t = 0, at
     # every record_every-th step and at the last step
     n_samples = 1 + n_steps // record_every + (n_steps % record_every != 0)
-    times, p_r_mean, norm = np.empty((3, n_samples))
-
-    def observe(i: int, t: float, vec: np.ndarray) -> None:
-        # sample i.  Central-difference d/dx between zero walls: sum conj(u_j)
-        # (u_{j+1} - u_{j-1}) is S - conj(S) with S = sum conj(u_j) u_{j+1}, so <p_r> is
-        # Im S in units of hbar kappa, exactly zero for a real profile
-        times[i] = t
-        p_r_mean[i] = np.vdot(vec[:-1], vec[1:]).imag
-        norm[i] = np.vdot(vec, vec).real * h
-
-    # Nodes past the window hold zeros in u and y, so a step solves the leading m rows of
-    # the factors: without pivoting that is the same Cayley step with its wall moved to
-    # node m.  A step that lifts the watched node m - 1 to the floor is redone on every node.
-    floor = _WINDOW_FLOOR * peak_density
-    u[m:] = 0.0
-    y = np.zeros_like(u)
-    tbtrs = _tridiagonal_lapack()[1]
-
-    def cayley_step(k: int, step: int) -> None:
-        # y[:k] = A^-1 B u[:k] with the Dirichlet wall at node k
-        y_k = np.multiply(u[:k], dinv[:k], out=y[:k])
-        for uplo in "LU":
-            y_k, info = tbtrs(band[:, :k], y_k, uplo=uplo, diag="U", overwrite_b=1)
-            if info != 0:
-                raise PropagationError(f"banded solve failed at step {step} (info={info})")
-        np.subtract(y_k, u[:k], out=y[:k])
-
-    observe(0, 0.0, u[:m])
-    recorded = 0
-    for step in range(1, n_steps + 1):
-        cayley_step(m, step)
-        if m < n and abs(y[m - 1]) ** 2 >= floor:
-            m = n
-            cayley_step(m, step)
-        u, y = y, u
-        if progress is not None and step % progress_every == 0:
+    for step, w in _cayley_steps(u, v, h, dtau, n_steps, m, _WINDOW_FLOOR * peak_density):
+        if step == 0:  # made once the factor setup has freed its scratch, so the peaks do not add
+            times, p_r_mean, norm = np.empty((3, n_samples))
+        if progress is not None and step and step % progress_every == 0:
             if progress(step, n_steps) is False:
                 raise PropagationAborted(f"aborted by progress hook at step {step}/{n_steps}")
         if step % record_every == 0 or step == n_steps:
-            recorded += 1
-            t = step * dt
-            observe(recorded, t, u[:m])
-            if abs(norm[recorded] - norm[0]) > NORM_DRIFT_LIMIT:
+            i, t = -(-step // record_every), step * dt  # sample i, the last one after a partial stride
+            # Central-difference d/dx between zero walls: sum conj(u_j) (u_{j+1} - u_{j-1}) is
+            # S - conj(S) with S = sum conj(u_j) u_{j+1}, so <p_r> is Im S in units of hbar kappa,
+            # exactly zero for a real profile
+            times[i], p_r_mean[i], norm[i] = t, np.vdot(w[:-1], w[1:]).imag, np.vdot(w, w).real * h
+            if abs(norm[i] - norm[0]) > NORM_DRIFT_LIMIT:
                 raise PropagationError(
-                    f"norm drifted to {norm[recorded]:.12f} at t={t:.6g} "
+                    f"norm drifted to {norm[i]:.12f} at t={t:.6g} "
                     f"(limit {NORM_DRIFT_LIMIT:g}); the run is untrustworthy"
                 )
-            if abs(u[-1]) ** 2 > REFLECTION_LIMIT * peak_density:
+            # w[-1] is the outer wall's neighbour once the window spans the grid, and below the
+            # window floor before, far under the reflection limit
+            if abs(w[-1]) ** 2 > REFLECTION_LIMIT * peak_density:
                 raise PropagationError(
                     f"boundary reflection detected at t={t:.6g}: |u|^2 at r_max is "
-                    f"{abs(u[-1])**2 / peak_density:.3e} of peak (limit {REFLECTION_LIMIT:g}); "
+                    f"{abs(w[-1])**2 / peak_density:.3e} of peak (limit {REFLECTION_LIMIT:g}); "
                     "enlarge r_max"
                 )
 

@@ -383,6 +383,37 @@ class TestPropagateCommand:
         assert "measured_slope=" in err
         assert len(out.read_text().splitlines()) == 2 + 11
 
+    @pytest.mark.parametrize("dt, n_steps", [("1e300", "16"), ("1", "4")])
+    def test_dt_past_the_linearity_window_is_invalid_input(self, dt, n_steps, tmp_path, capsys):
+        # every recorded sample lies past t = 0.1, where <p_r> has long left slope * t: at
+        # 1e300 each step is about u -> -u and the series reads 0, at 1 the fit reads 0.43
+        out = tmp_path / "r.csv"
+        code = main(["propagate", "--family", "u0", "--D", "6", "--n-points", "1024",
+                     "--n-steps", n_steps, "--dt", dt, "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --dt {float(dt):.12g} x --record-every 1 puts the first "
+                              f"sample at t={float(dt):.12g}, past the linearity window t <= 0.1"), err
+        assert "measured_slope" not in err
+        assert not out.exists()
+        assert not (tmp_path / "r.config.json").exists()
+
+    @pytest.mark.parametrize("family, d, kappa, r_max", [
+        ("u0", "6", "1e150", "1e200"), ("u2", "30", "1e150", "1e200"), ("u0", "6", "1e300", "1e10"),
+    ])
+    def test_node_overflow_is_numerical_failure(self, family, d, kappa, r_max, capsys):
+        # x = kappa r overflows at the outer nodes: exit 3 naming kappa and r_max, with no
+        # numpy warning and no under- or overflowing profile blamed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["propagate", "--family", family, "--D", d, "--kappa", kappa,
+                         "--r-max", r_max, "--n-points", "1024"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: the outer node x = kappa*r_max "
+                                       f"overflows at kappa={float(kappa):g}, r_max="), captured.err
+
     def test_unfittable_run_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         code = main(

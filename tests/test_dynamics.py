@@ -22,6 +22,7 @@ from hyperradial import (
     bohm_quantum_potential,
     centrifugal_force,
     default_time_step,
+    eigen_potential_v2,
     fit_window,
     gamma_ratio,
     linearity_window,
@@ -30,6 +31,7 @@ from hyperradial import (
     raman_nath_slope,
     raman_nath_slope_closed,
     short_time_phase_state,
+    v_q,
 )
 from hyperradial.quadrature import integrate_radial
 
@@ -551,6 +553,23 @@ class TestPropagation:
                 f"the Crank-Nicolson coefficients dt H/(2 hbar) overflow at dt={dt:g}, kappa={kappa:g} ")):
             propagate_free(state, RadialGrid.for_state(state, 1024), dt, 16)
 
+    @pytest.mark.parametrize("family, d, kappa, r_outer", [
+        (U0, 6, 1e150, 1e200), (U2, 30, 1e150, 1e200), (U0, 6, 1e300, 1e10),
+    ])
+    def test_node_overflow_names_kappa_and_r_max(self, family, d, kappa, r_outer, monkeypatch):
+        # x = kappa r leaves double range at the outer nodes: named before numpy samples the
+        # grid, so numpy does not warn and the profile is not blamed
+        from hyperradial import dynamics
+
+        monkeypatch.setattr(dynamics, "_tridiagonal_lapack", lambda: pytest.fail("factored"))
+        state = make_state(family, d, PhysicalParams(kappa=kappa, beta=1.0 / kappa))
+        grid = RadialGrid.uniform(r_outer, 1024)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=re.escape(
+                    f"kappa*r_max overflows at kappa={kappa:g}, r_max={grid.r_max:g}")):
+                propagate_free(state, grid)
+
     @pytest.mark.parametrize("family, d", [(U0, 6), (U1, 9), (U2, 30)])
     def test_series_are_unit_invariant(self, family, d):
         # the step runs in x = kappa r and tau = eps t / hbar, so an exact power-of-two
@@ -733,6 +752,51 @@ class TestStepOracle:
         assert np.vdot(u[:-1], u[1:]).imag == pytest.approx(0.5 * explicit.imag, rel=1e-12)
         real = rng.normal(size=257).astype(complex)
         assert np.vdot(real[:-1], real[1:]).imag == 0.0
+
+
+class TestTrapOnStationarity:
+    # With its trap left on, an eigenstate must not move: the private stepper runs the same
+    # Cayley step under H_h = -Delta_h + v with the trap in v, 2000 steps to t = 1 on the
+    # default grid.  What moves is the O(h^2) of the 3-point Laplacian, so it shrinks by 4
+    # per halving of h (measured: 3.99 to 4.00)
+    @staticmethod
+    def drift(state, n_points, trap):
+        from hyperradial import dynamics
+
+        params = state.params
+        grid = RadialGrid.for_state(state, n_points)
+        x, h = params.kappa * grid.points(), params.kappa * grid.spacing
+        u, peak, window = dynamics._initial_profile(state, x, h)
+        v = np.asarray(trap(params, grid.points())) / params.epsilon()
+        start = np.abs(u) ** 2
+        dtau = params.epsilon() * (1.0 / 2000) / params.hbar
+        momentum = density = 0.0
+        for _, w in dynamics._cayley_steps(u, v, h, dtau, 2000, window,
+                                           dynamics._WINDOW_FLOOR * peak):
+            momentum = max(momentum, abs(np.vdot(w[:-1], w[1:]).imag))
+            density = max(density, float(np.max(np.abs(np.abs(w) ** 2 - start[:w.size]))))
+        return momentum, density / peak
+
+    def test_u2_rests_in_v2(self):
+        # u2 is the zero-energy eigenstate of V2; at 2048 and 4096 points max |<p_r>| read
+        # 1.094e-3 and 2.736e-4, and the worst change of |u|^2 3.14e-3 and 7.84e-4 of its peak
+        state = make_state(U2, 30)
+        coarse, fine = (self.drift(state, n, eigen_potential_v2) for n in (2048, 4096))
+        assert coarse[0] < 2e-3 and coarse[1] < 5e-3
+        assert coarse[0] / fine[0] >= 3.5 and coarse[1] / fine[1] >= 3.5
+
+    def test_u0_rests_in_the_oscillator(self):
+        # u0 is the ground state of V_Q + M omega^2 r^2 / 2 with omega = hbar kappa^2 / M,
+        # eps x^2 in x = kappa r; max |<p_r>| read 8.715e-6 and 2.180e-6, and the worst
+        # change of |u|^2 9.47e-6 and 2.38e-6 of its peak
+        state = make_state(U0, 6)
+
+        def trap(params, r):
+            return np.asarray(v_q(state.dim, params, r)) + params.epsilon() * (params.kappa * r) ** 2
+
+        coarse, fine = (self.drift(state, n, trap) for n in (2048, 4096))
+        assert coarse[0] < 2e-5 and coarse[1] < 2e-5
+        assert coarse[0] / fine[0] >= 3.5 and coarse[1] / fine[1] >= 3.5
 
 
 class TestFactorBand:
