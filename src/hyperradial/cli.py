@@ -96,7 +96,7 @@ _POSITIVE_OPTIONS = ("kappa", "beta_kappa")
 
 def _params_from(args: argparse.Namespace) -> PhysicalParams:
     for dest in _POSITIVE_OPTIONS:
-        if not getattr(args, dest) > 0:  # also rejects NaN
+        if not 0 < getattr(args, dest) < math.inf:  # also rejects NaN
             raise DomainError(f"--{dest.replace('_', '-')} must be a positive number, "
                               f"got {getattr(args, dest)!r}")
     return PhysicalParams(kappa=args.kappa, beta=args.beta_kappa / args.kappa)
@@ -276,7 +276,7 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
         "state": state.to_config(),
         "grid": {
             "r_min": result.grid.r_min,
-            "r_max": result.grid.r_max,
+            "r_max": (result.grid.n_points + 1) * result.grid.spacing,  # the wall --r-max sets
             "n_points": result.grid.n_points,
             "spacing": result.grid.spacing,
         },

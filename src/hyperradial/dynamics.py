@@ -55,6 +55,8 @@ in units of hbar kappa, exactly zero for a real profile.
 A step solves only the leading nodes the state occupies: every node where
 the sampled |u|^2 is at least eps^2 of its peak (eps the double epsilon,
 an amplitude eps times the peak's) and the first node past them.  The
+caller passes only that floor, eps^2 times the peak; the stepper finds the
+window from it before its first step and widens it as below.  The
 factors are those of the full grid; without pivoting the LU of a leading
 block is the leading part of the full LU, so sliced factors make the same
 Cayley step with its outer wall moved to the window's end, and the nodes
@@ -384,11 +386,10 @@ def _tridiagonal_lapack() -> tuple[Callable, Callable]:
     return flapack.zgttrf, flapack.ztbtrs
 
 
-def _initial_profile(state: RadialState, x: np.ndarray, h: float) -> tuple[np.ndarray, float, int]:
-    """u_x on the nodes x of spacing h, normalized to h sum |u|^2 = 1, its peak |u|^2 and its
-    window end; PreconditionError when it underflows or overflows there or the grid does not
-    contain or resolve it.  The window is the leading nodes up to the first one past the last
-    where |u|^2 >= _WINDOW_FLOOR * peak; that first node past is the one the run watches."""
+def _initial_profile(state: RadialState, x: np.ndarray, h: float) -> tuple[np.ndarray, float]:
+    """u_x on the nodes x of spacing h, normalized to h sum |u|^2 = 1, and its peak |u|^2;
+    PreconditionError when it underflows or overflows there or the grid does not contain or
+    resolve it.  The stepper finds its solve window from the floor _WINDOW_FLOOR * peak."""
     import numpy as np
 
     with np.errstate(over="ignore"):  # an overflow is reported by the norm check below
@@ -414,18 +415,21 @@ def _initial_profile(state: RadialState, x: np.ndarray, h: float) -> tuple[np.nd
             "grid under-resolves the state: fewer than 20 points across the "
             "|u|^2 peak at half maximum"
         )
-    past_last = x.size - int(np.argmax(density[::-1] >= _WINDOW_FLOOR * peak))
-    return u, peak, min(past_last + 1, x.size)
+    return u, peak
 
 
-def _cayley_steps(u: np.ndarray, v: np.ndarray, h: float, dtau: float, n_steps: int, window: int,
+def _cayley_steps(u: np.ndarray, v: np.ndarray, h: float, dtau: float, n_steps: int,
                   floor: float) -> Iterator[tuple[int, np.ndarray]]:
     """Cayley steps of u under H_h = -Delta_h + v (spacing h, step dtau), yielding (step, u[:window])
     for step 0 .. n_steps.  The state alternates between u and one buffer, so a view holds its step
-    until the next is made.  A step solves the leading window nodes, the rest held at zero; one that
-    lifts the last of them to |u|^2 >= floor is redone on every node, and so is every later step."""
+    until the next is made.  A step solves only the window, the leading nodes up to the first one
+    past the last where |u|^2 >= floor, the rest held at zero; one that lifts the window's last
+    node to |u|^2 >= floor is redone on every node, and so is every later step."""
     import numpy as np
 
+    # the window is found before the band is made, so its scratch does not add to the setup's peak
+    c, n = 1.0 / h**2, u.size
+    window = min(n + 1 - int(np.argmax(np.abs(u[::-1]) ** 2 >= floor)), n)
     # B = 1 - alpha H_h = 2 - A, alpha = i dtau / 2, so A^-1 B u = y - u with (A/2) y = u.
     # A/2 = L U is factored once (LAPACK zgttrf) without row interchanges: its diagonal
     # 2c + v is at least 1.75 c (v attractive at D = 2), its off-diagonal c = 1/h^2.  With
@@ -435,7 +439,6 @@ def _cayley_steps(u: np.ndarray, v: np.ndarray, h: float, dtau: float, n_steps: 
     # reads, row 1 the L1 subdiagonal, which uplo="L" reads.  Each row is the other
     # factor's diagonal, never read under diag="U".  Until zgttrf has copied them, its
     # rows hold the diagonal 0.5 + 0.5 alpha (2c + v) and off-diagonal of A/2
-    c, n = 1.0 / h**2, u.size
     band = np.zeros((2, n), dtype=np.complex128, order="F")
     dd, off = band[0], band[1, :-1]
     np.add(2.0 * c, v, out=dd)
@@ -524,7 +527,7 @@ def propagate_free(
     """
     import numpy as np
 
-    if state.family is not StateFamily.U2 and _trap_power(state.family, state.dim) == 0.0:
+    if state._peak_x() == 0.0:
         raise PreconditionError(
             f"{state.family.value} at D={state.dim.d} does not vanish at the origin, "
             "where the propagator holds u = 0 at its inner wall"
@@ -536,7 +539,7 @@ def propagate_free(
         raise OverflowError(f"the outer node x = kappa*r_max overflows at kappa={params.kappa:g}, "
                             f"r_max={grid.r_max:g}")
     x, h = params.kappa * grid.points(), params.kappa * grid.spacing
-    u, peak_density, m = _initial_profile(state, x, h)
+    u, peak_density = _initial_profile(state, x, h)
     if dt is None:
         caps = _time_step_caps(state, grid)
         dt_cap = min(caps, key=caps.get)
@@ -557,7 +560,7 @@ def propagate_free(
     # One float64 record whose rows are the returned series, with a sample at t = 0, at
     # every record_every-th step and at the last step
     n_samples = 1 + n_steps // record_every + (n_steps % record_every != 0)
-    for step, w in _cayley_steps(u, v, h, dtau, n_steps, m, _WINDOW_FLOOR * peak_density):
+    for step, w in _cayley_steps(u, v, h, dtau, n_steps, _WINDOW_FLOOR * peak_density):
         if step == 0:  # made once the factor setup has freed its scratch, so the peaks do not add
             times, p_r_mean, norm = np.empty((3, n_samples))
         if progress is not None and step and step % progress_every == 0:

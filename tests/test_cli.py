@@ -76,7 +76,7 @@ class TestEnergiesCommand:
 
 class TestInvalidScales:
     @pytest.mark.parametrize("value, flag", [
-        *((value, flag) for value in ("0", "-1") for flag in ("--kappa", "--beta-kappa")),
+        *((value, flag) for value in ("0", "-1", "inf") for flag in ("--kappa", "--beta-kappa")),
         # --r-max outside (0, inf) on the command line and as a --config key
         *((value, flag) for flag in ("--r-max", "r_max") for value in ("0", "-1", "nan", "inf")),
     ])
@@ -299,6 +299,20 @@ class TestPropagateCommand:
         assert sidecar["grid"]["n_points"] == 1024
         err = capsys.readouterr().err
         assert "measured_slope=" in err and "ratio=" in err
+
+    def test_sidecar_grid_replays_the_run(self, tmp_path, capsys):
+        # the sidecar's r_max is the outer wall that --r-max sets, one spacing past the last
+        # node, so a run on the sidecar's grid writes the same bytes; the JSON payload shares it
+        argv = ["propagate", "--family", "u1", "--D", "9", "--n-points", "1024"]
+        assert main([*argv, "--output", str(tmp_path / "a.csv")]) == 0
+        grid = json.loads((tmp_path / "a.config.json").read_text())["grid"]
+        assert grid["r_max"] == (grid["n_points"] + 1) * grid["spacing"]
+        assert main(["propagate", "--family", "u1", "--D", "9", "--r-max", repr(grid["r_max"]),
+                     "--n-points", str(grid["n_points"]), "--output", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        capsys.readouterr()
+        assert main([*argv, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["grid"] == grid
 
     @pytest.mark.parametrize("r_max", ["1e-300", "1e200"])
     def test_grid_without_the_profile_is_named_before_dt(self, r_max, capsys):

@@ -472,6 +472,15 @@ class TestPropagation:
         assert abs(deviation) < 0.05
         assert linearity_window(state) == pytest.approx(window, rel=1e-12)
 
+    def test_linearity_window_where_the_energy_underflows(self):
+        # u2 at D=6 with kappa = 1e-150, beta*kappa = 1e60: T = 5.0e-31 eps and eps = 5e-301,
+        # so T in absolute units rounds to 0 and only the trap-state bound 0.05 hbar/eps is left
+        params = PhysicalParams(kappa=1e-150, beta=1e210)
+        state = make_state(U2, 6, params)
+        assert params.epsilon() * 5.0e-31 == 0.0
+        assert linearity_window(state) == 0.05 * params.hbar / params.epsilon()
+        assert linearity_window(state) == pytest.approx(1e299, rel=1e-12)
+
     def test_linearity_window_u2_energy_scaled(self, params):
         # u2 at D=30 stores ~198 eps, so its linear regime ends near hbar/T,
         # far earlier than the trap-state window
@@ -766,13 +775,12 @@ class TestTrapOnStationarity:
         params = state.params
         grid = RadialGrid.for_state(state, n_points)
         x, h = params.kappa * grid.points(), params.kappa * grid.spacing
-        u, peak, window = dynamics._initial_profile(state, x, h)
+        u, peak = dynamics._initial_profile(state, x, h)
         v = np.asarray(trap(params, grid.points())) / params.epsilon()
         start = np.abs(u) ** 2
         dtau = params.epsilon() * (1.0 / 2000) / params.hbar
         momentum = density = 0.0
-        for _, w in dynamics._cayley_steps(u, v, h, dtau, 2000, window,
-                                           dynamics._WINDOW_FLOOR * peak):
+        for _, w in dynamics._cayley_steps(u, v, h, dtau, 2000, dynamics._WINDOW_FLOOR * peak):
             momentum = max(momentum, abs(np.vdot(w[:-1], w[1:]).imag))
             density = max(density, float(np.max(np.abs(np.abs(w) ** 2 - start[:w.size]))))
         return momentum, density / peak

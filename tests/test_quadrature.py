@@ -85,6 +85,12 @@ def test_nan_integrand_raises_without_fallback(caplog):
     assert caplog.records == []
 
 
+def test_radial_failure_names_the_radial_window():
+    with pytest.raises(QuadratureError) as info:
+        integrate_radial(lambda r: np.full_like(r, np.nan), 1.0, 2.0)
+    assert str(info.value).endswith("(the interval is s = ln r for r in [1, 2])")
+
+
 def test_infinite_endpoint_node_falls_back_at_once(caplog):
     # 1 - delta rounds to 1 for the outermost nodes, where 1/sqrt(1 - x) is infinite
     res = integrate(lambda x: 1.0 / np.sqrt(1.0 - x), 0.0, 1.0)
