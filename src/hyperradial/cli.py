@@ -27,12 +27,12 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO
 
 from .core import (
-    DivergentIntegralError,
     DomainError,
     HyperDimension,
     NumericalError,
     PhysicalParams,
     PreconditionError,
+    _beta,
 )
 from .dynamics import DEFAULT_N_POINTS, RadialGrid, fit_window, linearity_window, propagate_free
 from .energy import CLOSED_FORM, QUADRATURE, _check_inverse_moment, energy_report
@@ -99,7 +99,8 @@ def _params_from(args: argparse.Namespace) -> PhysicalParams:
         if not 0 < getattr(args, dest) < math.inf:  # also rejects NaN
             raise DomainError(f"--{dest.replace('_', '-')} must be a positive number, "
                               f"got {getattr(args, dest)!r}")
-    return PhysicalParams(kappa=args.kappa, beta=args.beta_kappa / args.kappa)
+    beta = _beta(args.beta_kappa, args.kappa, ("--beta-kappa", "--kappa"))
+    return PhysicalParams(kappa=args.kappa, beta=beta)
 
 
 def _check_jobs(args: argparse.Namespace) -> None:
@@ -114,23 +115,26 @@ def _state_from(args: argparse.Namespace) -> RadialState:
     return RadialState(family=StateFamily(args.family), dim=_resolve_dimension(args), params=_params_from(args))
 
 
-def _unwritable(path: str | Path, exc: OSError) -> DomainError:
-    return DomainError(f"cannot write {str(path)!r}: {exc.strerror or exc}")
-
-
 @contextlib.contextmanager
 def _output_stream(path: Optional[str]) -> Iterator[TextIO]:
-    """Yield stdout for no path or '-', else the opened file, closed on exit."""
+    """Yield stdout for no path or '-', else the opened file, closed on exit; a file that
+    cannot be opened, written or closed (a full disk) is a DomainError naming it."""
     if path is None or path == "-":
         yield sys.stdout
         sys.stdout.flush()  # a closed pipe raises here, before any summary on stderr
         return
     try:
-        stream = open(path, "w", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as stream:
+            yield stream
     except OSError as exc:
-        raise _unwritable(path, exc) from exc
-    with stream:
-        yield stream
+        raise DomainError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+
+
+def _write_json(path: Optional[str], payload: dict) -> None:
+    """Write payload as sorted, indented JSON and a newline through _output_stream."""
+    with _output_stream(path) as stream:
+        json.dump(payload, stream, indent=2, sort_keys=True)
+        stream.write("\n")
 
 
 # the JSON types that stand for a flag's argparse type, and how messages name them
@@ -183,20 +187,18 @@ def _cmd_energies(args: argparse.Namespace) -> int:
         ("t_v", closed.t_v, quad.t_v),
         ("total", closed.total, quad.total),
     ]
-    with _output_stream(args.output) as stream:
-        if args.format == "json":
-            payload = {
-                "config": state.to_config(),
-                "epsilon": closed.epsilon,
-                "units": "epsilon",
-                "energies": {
-                    name: {"closed_form": c, "quadrature": q, "rel_deviation": _rel_dev(c, q)}
-                    for name, c, q in rows
-                },
-            }
-            json.dump(payload, stream, indent=2, sort_keys=True)
-            stream.write("\n")
-        else:
+    if args.format == "json":
+        _write_json(args.output, {
+            "config": state.to_config(),
+            "epsilon": closed.epsilon,
+            "units": "epsilon",
+            "energies": {
+                name: {"closed_form": c, "quadrature": q, "rel_deviation": _rel_dev(c, q)}
+                for name, c, q in rows
+            },
+        })
+    else:
+        with _output_stream(args.output) as stream:
             stream.write("quantity,closed_form,quadrature,rel_deviation,units\n")
             for name, c, q in rows:
                 stream.write(f"{name},{_fmt(c)},{_fmt(q)},{_fmt(_rel_dev(c, q))},epsilon\n")
@@ -246,10 +248,7 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
     state = _state_from(args)
     # the measured slope estimates the F_Q moment; where <r^-3> diverges there is none to
     # measure, so the run stops before any step and any file
-    try:
-        _check_inverse_moment(state, 3)
-    except DivergentIntegralError as exc:
-        raise DomainError(f"no Raman-Nath slope to measure: {exc}") from None
+    _check_inverse_moment(state.family, state.dim, 3)
     if args.r_max is not None:
         if not 0 < args.r_max < math.inf:  # also rejects NaN
             raise DomainError(f"--r-max must be a positive finite number, got {args.r_max!r}")
@@ -285,26 +284,18 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
         "n_steps": round(result.times[-1] / result.dt),
         "record_every": args.record_every,
     }
-    with _output_stream(args.output) as stream:
-        if args.format == "json":
-            payload = dict(sidecar)
-            payload["series"] = {
-                "t": list(result.times),
-                "p_r_mean": list(result.p_r_mean),
-                "norm": list(result.norm),
-                "units": {"t": "natural", "p_r_mean": "hbar*kappa", "norm": "dimensionless"},
-            }
-            json.dump(payload, stream, indent=2, sort_keys=True)
-            stream.write("\n")
-        else:
+    if args.format == "json":
+        _write_json(args.output, {**sidecar, "series": {
+            "t": list(result.times),
+            "p_r_mean": list(result.p_r_mean),
+            "norm": list(result.norm),
+            "units": {"t": "natural", "p_r_mean": "hbar*kappa", "norm": "dimensionless"},
+        }})
+    else:
+        with _output_stream(args.output) as stream:
             result.to_csv(stream)
     if args.output and args.output != "-":
-        sidecar_path = Path(args.output).with_suffix(".config.json")
-        try:
-            sidecar_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n",
-                                    encoding="utf-8")
-        except OSError as exc:
-            raise _unwritable(sidecar_path, exc) from exc
+        _write_json(str(Path(args.output).with_suffix(".config.json")), sidecar)
     analytic = result.analytic_slope
     line = f"measured_slope={_fmt(measured)} analytic_slope={_fmt(analytic)}"
     if analytic and math.isfinite(analytic):

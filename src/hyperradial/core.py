@@ -30,6 +30,11 @@ class DomainError(HyperradialError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
+class DivergentIntegralError(DomainError):
+    """The requested integral does not exist (<r^-2> or <r^-3> of u0 at D=2): the
+    input lies outside the domain, and the command line exits 2."""
+
+
 class PreconditionError(HyperradialError, ValueError):
     """A documented precondition of an operation is not met."""
 
@@ -40,10 +45,6 @@ class NumericalError(HyperradialError, RuntimeError):
 
 class QuadratureError(NumericalError):
     """Adaptive quadrature did not converge to the requested tolerance."""
-
-
-class DivergentIntegralError(NumericalError):
-    """The requested integral does not exist (e.g. <r^-2> for u0 at D=2)."""
 
 
 class PropagationError(NumericalError):
@@ -58,6 +59,15 @@ def _require_positive(name: str, value) -> None:
     ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not ok or not 0 < value < math.inf:  # also rejects NaN
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _beta(beta_kappa: float, kappa: float, names: tuple[str, str]) -> float:
+    """beta = beta_kappa / kappa; where the ratio over- or underflows, the error names both inputs."""
+    beta = beta_kappa / kappa
+    if not 0 < beta < math.inf:
+        raise DomainError(f"beta = {names[0]} / {names[1]} must be positive and finite, "
+                          f"got {beta_kappa!r} / {kappa!r} = {beta!r}")
+    return beta
 
 
 def _require_integer(name: str, value, minimum: int) -> int:

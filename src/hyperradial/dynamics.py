@@ -102,7 +102,6 @@ from functools import cache
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, TextIO
 
 from .core import (
-    DivergentIntegralError,
     DomainError,
     HyperDimension,
     PhysicalParams,
@@ -157,7 +156,7 @@ def raman_nath_slope(state: RadialState) -> float:
     """
     if state.dim.strength() == 0:
         return 0.0
-    _check_inverse_moment(state, 3)
+    _check_inverse_moment(state.family, state.dim, 3)
     moment = state._expectation_in_x(lambda x: _f_q(state.dim, x)).value
     return _checked_slope(moment * (state.params.epsilon() / state.params.hbar), state.params)
 
@@ -174,7 +173,7 @@ def raman_nath_slope_closed(state: RadialState) -> float:
     strength = state.dim.strength()
     if strength == 0:
         return 0.0
-    _check_inverse_moment(state, 3)
+    _check_inverse_moment(state.family, state.dim, 3)
     eps_over_hbar = state.params.epsilon() / state.params.hbar
     if state.family is StateFamily.U2:
         bk = state.params.beta_kappa
@@ -588,7 +587,7 @@ def propagate_free(
 
     try:
         analytic = raman_nath_slope_closed(state)
-    except (DomainError, DivergentIntegralError):
+    except DomainError:
         analytic = math.nan
 
     return PropagationResult(

@@ -21,9 +21,10 @@ u0, D + 2 for u1) the moment <(kappa r)^-2> is 2/m, so
 
     T_r = 1 + 1/(2m),    T_V = s/(2m),    s = (D-1)(D-3),
 
-and u0 at D <= 2 (m <= 0) has no closed form.  Since 2/m falls like 2/D,
-T_V of a trap state grows linearly in N; for u2 the moment 1/(beta kappa)
-does not depend on D and T_V = s/(4 beta kappa) grows as N^2.
+at every D but u0 at D = 2, where <r^-2> does not exist (_check_inverse_moment);
+at D = 1 (m = -1) T_r = 1/2 and T_V = 0.  Since 2/m falls like 2/D, T_V of a
+trap state grows linearly in N; for u2 the moment 1/(beta kappa) does not
+depend on D and T_V = s/(4 beta kappa) grows as N^2.
 """
 
 from __future__ import annotations
@@ -53,15 +54,22 @@ def _v_q(dim: HyperDimension, x: np.ndarray) -> np.ndarray:
     return dim.strength() / (4.0 * x**2)
 
 
+def _check_inverse_moment(family: StateFamily, dim: HyperDimension, power: int) -> None:
+    # <r^-power> for power 2 (energies) or 3 (centrifugal force): u0 has
+    # |u|^2/r^power ~ r^(D-1-power) near the origin, and where that is not
+    # integrable the weight vanishes (D in {1, 3}) except at D=2; u1 and u2
+    # vanish fast enough for every D
+    if family is StateFamily.U0 and dim.d == 2:
+        raise DivergentIntegralError(
+            f"<r^-{power}> does not exist for u0 at D=2 (|u|^2/r^{power} ~ r^{1 - power} "
+            "near the origin); the integral diverges rather than evaluates"
+        )
+
+
 def _trap_order(family: StateFamily, dim: HyperDimension) -> float:
     # m = 2a - 1 of the trap profile r^a exp(-kappa^2 r^2 / 2), so <(kappa r)^-2> = 2/m
-    m = 2.0 * _trap_power(family, dim) - 1.0
-    if m <= 0:
-        raise DomainError(
-            f"u0 closed forms contain a 1/(D-2) singularity; D={dim.d} is rejected "
-            "(the D=2 integrals diverge, <r^-2> does not exist)"
-        )
-    return m
+    _check_inverse_moment(family, dim, 2)
+    return 2.0 * _trap_power(family, dim) - 1.0
 
 
 def t_r_closed(family: StateFamily, dim: HyperDimension, params: PhysicalParams) -> float:
@@ -77,19 +85,8 @@ def t_v_closed(family: StateFamily, dim: HyperDimension, params: PhysicalParams)
     """Closed-form centrifugal energy T_V in units of epsilon."""
     if family is StateFamily.U2:
         return dim.strength() / (4.0 * params.beta_kappa)
-    return dim.strength() / (2.0 * _trap_order(family, dim))
-
-
-def _check_inverse_moment(state: RadialState, power: int) -> None:
-    # <r^-power> for power 2 (energies) or 3 (centrifugal force): u0 has
-    # |u|^2/r^power ~ r^(D-1-power) near the origin, and where that is not
-    # integrable the weight vanishes (D in {1, 3}) except at D=2; u1 and u2
-    # vanish fast enough for every D
-    if state.family is StateFamily.U0 and state.dim.d == 2:
-        raise DivergentIntegralError(
-            f"<r^-{power}> does not exist for u0 at D=2 (|u|^2/r^{power} ~ r^{1 - power} "
-            "near the origin); the integral diverges rather than evaluates"
-        )
+    # + 0.0 makes the 0 / (2m) of u0 at D = 1 (m = -1) read 0.0, not -0.0
+    return dim.strength() / (2.0 * _trap_order(family, dim)) + 0.0
 
 
 def t_r_quadrature(state: RadialState) -> float:
@@ -97,7 +94,7 @@ def t_r_quadrature(state: RadialState) -> float:
 
     The weight is -u''/u in units of kappa^2, -c(x) in x = kappa r, in every unit system.
     """
-    _check_inverse_moment(state, 2)
+    _check_inverse_moment(state.family, state.dim, 2)
     return state._expectation_in_x(lambda x: -state._curvature(x)).value
 
 
@@ -109,7 +106,7 @@ def t_v_quadrature(state: RadialState) -> float:
     """
     if state.dim.strength() == 0:
         return 0.0
-    _check_inverse_moment(state, 2)
+    _check_inverse_moment(state.family, state.dim, 2)
     return state._expectation_in_x(lambda x: _v_q(state.dim, x)).value
 
 

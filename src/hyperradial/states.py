@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Union
 
-from .core import DomainError, HyperDimension, PhysicalParams, QuadratureError, _require_positive
+from .core import DomainError, HyperDimension, PhysicalParams, QuadratureError, _beta, _require_positive
 from .quadrature import QuadResult, integrate
 from .specialfn import _scaled_bessel_k, log_gamma
 
@@ -378,7 +378,7 @@ class RadialState:
         for name in ("kappa", "beta_kappa"):
             _require_positive(name, config[name])
         kappa, beta_kappa = float(config["kappa"]), float(config["beta_kappa"])
-        params = PhysicalParams(kappa=kappa, beta=beta_kappa / kappa)
+        params = PhysicalParams(kappa=kappa, beta=_beta(beta_kappa, kappa, ("beta_kappa", "kappa")))
         return cls(family=family, dim=HyperDimension(config["D"]), params=params)
 
 

@@ -42,7 +42,15 @@ class TestEnergiesCommand:
 
     def test_u0_d2_rejected(self, capsys):
         assert main(["energies", "--family", "u0", "--D", "2"]) == 2
-        assert "1/(D-2)" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: <r^-2> does not exist for u0 at D=2")
+
+    def test_u0_d1_answered(self, capsys):
+        # the u0 closed forms hold at D=1 (m = -1): T_r = 1/2 and T_V = +0.0
+        assert main(["energies", "--family", "u0", "--D", "1"]) == 0
+        assert "t_r,0.5,0.5,2.22044604925e-16,epsilon\nt_v,0,0,0,epsilon\n" in capsys.readouterr().out
+        assert main(["energies", "--family", "u0", "--D", "1", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert '"t_v": {\n      "closed_form": 0.0,' in out, out
 
     def test_requires_exactly_one_of_d_n(self, capsys):
         assert main(["energies", "--family", "u0"]) == 2
@@ -62,6 +70,12 @@ class TestEnergiesCommand:
         out = tmp_path / "no-such-dir" / "energies.csv"
         assert main(["energies", "--family", "u0", "--D", "6", "--output", str(out)]) == 2
         assert "error: cannot write" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    def test_full_disk_is_named(self, capsys):
+        # the write fails where the open succeeded; it exits 2 like an unwritable path, not in a traceback
+        assert main(["energies", "--family", "u0", "--D", "6", "--output", "/dev/full"]) == 2
+        assert capsys.readouterr().err == "error: cannot write '/dev/full': No space left on device\n"
 
     @pytest.mark.parametrize("argv", [
         ["--family", "u2", "--D", "30", "--kappa", "1e-100"],
@@ -92,6 +106,21 @@ class TestInvalidScales:
         named = ("--r-max must be a positive finite number" if flag in ("--r-max", "r_max")
                  else f"{flag} must be a positive number")
         assert capsys.readouterr().err == f"error: {named}, got {float(value)!r}\n"
+
+    @pytest.mark.parametrize("kappa, beta_kappa, beta", [(1e-320, 1.0, "inf"), (1e300, 1e-30, "0.0")])
+    @pytest.mark.parametrize("route", ["flags", "config"])
+    def test_overflowing_beta_names_both_flags(self, kappa, beta_kappa, beta, route, tmp_path, capsys):
+        # each flag is positive and finite, but their ratio beta, which is no flag, leaves (0, inf)
+        argv = ["energies", "--family", "u2", "--D", "6"]
+        if route == "config":
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"kappa": kappa, "beta_kappa": beta_kappa}))
+            argv += ["--config", str(config)]
+        else:
+            argv += ["--kappa", repr(kappa), "--beta-kappa", repr(beta_kappa)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ("error: beta = --beta-kappa / --kappa must be positive and "
+                                           f"finite, got {beta_kappa!r} / {kappa!r} = {beta}\n")
 
     def test_zero_kappa_in_scaling(self, capsys):
         assert main(["scaling", "--quantity", "fermion", "--N", "1:20", "--kappa", "0"]) == 2
@@ -455,8 +484,7 @@ class TestPropagateCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: no Raman-Nath slope to measure: "
-                                       "<r^-3> does not exist for u0 at D=2"), captured.err
+        assert captured.err.startswith("error: <r^-3> does not exist for u0 at D=2"), captured.err
         assert not out.exists()
         assert not (tmp_path / "r.config.json").exists()
 

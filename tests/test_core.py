@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperradial import (
+    DivergentIntegralError,
     DomainError,
     HyperDimension,
     PhysicalParams,
@@ -180,3 +181,7 @@ class TestInputContract:
                 pytest.fail(f"{name} accepted {bad!r}")
         for value in (1, good, np.float64(good)):
             call(value)
+
+    def test_a_divergent_integral_is_input_outside_the_domain(self):
+        # a moment that does not exist is answered like any other input outside the domain
+        assert isinstance(DivergentIntegralError("x"), DomainError)

@@ -611,6 +611,20 @@ class TestPropagation:
         with pytest.raises(PropagationError, match="interchanged rows"):
             propagate_free(state, RadialGrid.for_state(state, 1024), n_steps=4)
 
+    def test_failed_factorization_raises(self, params, monkeypatch):
+        from hyperradial import dynamics
+
+        gttrf, tbtrs = dynamics._tridiagonal_lapack()
+
+        def failing_gttrf(dl, d, du):
+            *factors, info = gttrf(dl, d, du)
+            return (*factors, 3)  # LAPACK's report of an exactly zero pivot U(3,3)
+
+        monkeypatch.setattr(dynamics, "_tridiagonal_lapack", lambda: (failing_gttrf, tbtrs))
+        state = make_state(U0, 6, params)
+        with pytest.raises(PropagationError, match=re.escape("factorization failed (LAPACK info=3)")):
+            propagate_free(state, RadialGrid.for_state(state, 1024), n_steps=4)
+
     def test_grid_containment_precondition(self, params):
         state = make_state(U0, 6, params)
         grid = RadialGrid.uniform(state.peak_radius() + 2.0, 512)

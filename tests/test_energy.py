@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hyperradial import (
     QUADRATURE,
     DivergentIntegralError,
     DomainError,
+    EnergyReport,
     HyperDimension,
     PhysicalParams,
     RadialState,
@@ -101,9 +103,15 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_u0_closed_form_rejected_below_d3(self, d, params):
+        # only D=2 is rejected, where <r^-2> diverges; at D=1 (m = -1) T_r = 1/2 and T_V = +0.0
+        dim = HyperDimension(d)
+        if d == 1:
+            t_v = t_v_closed(U0, dim, params)
+            assert (t_r_closed(U0, dim, params), t_v, math.copysign(1.0, t_v)) == (0.5, 0.0, 1.0)
+            return
         for op in (t_r_closed, t_v_closed):
-            with pytest.raises(DomainError, match="1/\\(D-2\\)"):
-                op(U0, HyperDimension(d), params)
+            with pytest.raises(DivergentIntegralError, match="<r\\^-2>"):
+                op(U0, dim, params)
 
     @pytest.mark.parametrize("family", ["u0", "u2"])
     def test_family_must_be_a_state_family(self, family, params):
@@ -180,7 +188,10 @@ class TestQuadratureRoutes:
     def test_u0_d1_quadrature_continues_closed_form(self, params):
         # 1 + 1/(2(D-2)) evaluated at D=1 gives 0.5; the integral agrees
         # (a half-Gaussian has <(kappa r)^2> = 1/2)
-        assert t_r_quadrature(make_state(U0, 1, params)) == pytest.approx(0.5, rel=1e-8)
+        state = make_state(U0, 1, params)
+        assert t_r_quadrature(state) == pytest.approx(0.5, rel=1e-8)
+        assert t_r_quadrature(state) == pytest.approx(t_r_closed(U0, state.dim, params), rel=1e-8)
+        assert t_v_quadrature(state) == t_v_closed(U0, state.dim, params) == 0.0
 
 
 class TestEnergyReport:
@@ -209,6 +220,11 @@ class TestEnergyReport:
     def test_unknown_method(self, params):
         with pytest.raises(DomainError):
             energy_report(make_state(U0, 6, params), "variational")
+
+    def test_report_rejects_an_unknown_method(self):
+        with pytest.raises(DomainError, match="unknown energy method 'variational'"):
+            EnergyReport(t_r=1.0, t_v=0.0, method="variational", family=U0,
+                         dim=HyperDimension(6), epsilon=0.5)
 
     def test_sign_invariant(self, params):
         # t_r positive always; t_v negative only at D=2

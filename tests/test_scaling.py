@@ -33,6 +33,10 @@ class TestFermionLadder:
     def test_four_particles(self, params):
         assert fermion_trap_energy(4, params).closed == 8.0
 
+    def test_value_is_the_closed_form(self, params):
+        energy = fermion_trap_energy(7, PhysicalParams(omega=3.0))
+        assert energy.value == energy.closed == 73.5
+
     def test_summed_equals_closed_exactly(self, params):
         for n in range(1, 1001):
             energy = fermion_trap_energy(n, params)

@@ -110,6 +110,14 @@ class TestBesselK:
         scaled = bessel_k(1, zeta) * math.exp(zeta) * math.sqrt(2.0 * zeta / math.pi)
         assert scaled == pytest.approx(1.0, rel=0.03)
 
+    @pytest.mark.parametrize("zeta", [750.0, 1e300])
+    def test_defining_integral_underflows_without_quadrature(self, zeta, monkeypatch):
+        # past z = 750 the integrand exp(-z cosh t) is below the smallest double everywhere
+        from hyperradial import specialfn
+
+        monkeypatch.setattr(specialfn, "integrate", lambda *args: pytest.fail("integrated"))
+        assert [bessel_k_integral(n, zeta) for n in (0, 1, 2)] == [0.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("zeta", [0.0, -1.0, math.inf, math.nan])
     def test_domain(self, zeta):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -124,6 +125,12 @@ class TestNormConstants:
             params=PhysicalParams(beta=beta_kappa),
         )
         assert state.normalization_integral().value == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_property_matches_the_module_function(self, family):
+        params = PhysicalParams(kappa=1.3, beta=0.7 / 1.3)
+        state = RadialState(family=family, dim=HyperDimension(9), params=params)
+        assert state.norm_constant == norm_constant(family, state.dim, params) == math.exp(state.log_norm)
 
     def test_normalization_at_extreme_dimension(self, params):
         # exercises the log-space contract: naive constants underflow near D ~ 600
@@ -495,6 +502,15 @@ class TestSerialization:
     def test_bad_family_rejected(self):
         with pytest.raises(DomainError, match="family"):
             RadialState.from_config({"family": "u9", "D": 6, "kappa": 1.0, "beta_kappa": 1.0})
+
+    @pytest.mark.parametrize("kappa, beta_kappa, beta", [(1e-320, 1.0, "inf"), (1e300, 1e-30, "0.0")])
+    def test_overflowing_beta_names_both_keys(self, kappa, beta_kappa, beta):
+        # each key is positive and finite, but their ratio beta leaves (0, inf)
+        config = {"family": "u2", "D": 6, "kappa": kappa, "beta_kappa": beta_kappa}
+        with pytest.raises(DomainError, match=re.escape(
+                f"beta = beta_kappa / kappa must be positive and finite, "
+                f"got {beta_kappa!r} / {kappa!r} = {beta}")):
+            RadialState.from_config(config)
 
     @pytest.mark.parametrize("family", ["u3", None])
     def test_make_state_names_an_unknown_family_and_the_choices(self, family):
