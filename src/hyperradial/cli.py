@@ -82,7 +82,9 @@ def _parse_n_range(text: str) -> list[int]:
             return list(range(start, stop + (1 if step > 0 else -1), step))
     except ValueError:
         pass
-    raise DomainError(f"cannot parse N range {text!r}; expected start:stop[:step]")
+    except (OverflowError, MemoryError):  # more values than sys.maxsize, or than memory holds
+        raise DomainError(f"--N range {text!r} holds too many values to list") from None
+    raise DomainError(f"cannot parse --N range {text!r}; expected start:stop[:step]")
 
 
 def _resolve_dimension(args: argparse.Namespace) -> HyperDimension:

@@ -247,7 +247,10 @@ class RadialGrid:
     def points(self) -> np.ndarray:
         import numpy as np
 
-        return self.r_min + self.spacing * np.arange(self.n_points)
+        try:
+            return self.r_min + self.spacing * np.arange(self.n_points)
+        except (ValueError, MemoryError):  # a size past numpy's index range, or past memory
+            raise DomainError(f"n_points={self.n_points} nodes do not fit in memory") from None
 
 
 def _time_step_caps(state: RadialState, grid: RadialGrid) -> dict[str, float]:
@@ -516,6 +519,9 @@ def propagate_free(
         When the profile does not vanish at the origin (u0 at D = 1), where the
         grid puts its inner Dirichlet wall, or, before dt is set, when |u|^2 under-
         or overflows on the grid or the grid does not contain or resolve the state.
+    DomainError
+        When numpy cannot hold the grid's nodes or the record of samples, naming the
+        count and, where the step count came from it, dt.
     OverflowError
         When kappa r_max, epsilon or the step's coefficients dt H / (2 hbar) leave double
         range.
@@ -547,7 +553,13 @@ def propagate_free(
         dt_cap = "given"
     _require_positive("dt", dt)
     if n_steps is None:
-        n_steps = max(int(math.ceil(fit_window(state) / dt)), MIN_FIT_STEPS)
+        steps = fit_window(state) / dt
+        if steps == math.inf:
+            raise DomainError(f"n_steps = fit_window/dt overflows at dt={dt:g}")
+        n_steps = max(int(math.ceil(steps)), MIN_FIT_STEPS)
+        counted = f"n_steps = fit_window/dt = {steps:.6g} at dt={dt:g}"
+    else:
+        counted = f"n_steps={n_steps}"
     _require_integer("n_steps", n_steps, 1)
     _require_integer("record_every", record_every, 1)
     _require_integer("progress_every", progress_every, 1)
@@ -561,7 +573,11 @@ def propagate_free(
     n_samples = 1 + n_steps // record_every + (n_steps % record_every != 0)
     for step, w in _cayley_steps(u, v, h, dtau, n_steps, _WINDOW_FLOOR * peak_density):
         if step == 0:  # made once the factor setup has freed its scratch, so the peaks do not add
-            times, p_r_mean, norm = np.empty((3, n_samples))
+            try:
+                times, p_r_mean, norm = np.empty((3, n_samples))
+            except (ValueError, MemoryError):  # a size past numpy's index range, or past memory
+                raise DomainError(f"the record of 1 + n_steps/record_every samples does not fit in "
+                                  f"memory ({counted}, record_every={record_every})") from None
         if progress is not None and step and step % progress_every == 0:
             if progress(step, n_steps) is False:
                 raise PropagationAborted(f"aborted by progress hook at step {step}/{n_steps}")

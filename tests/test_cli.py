@@ -146,7 +146,9 @@ class TestInvalidScales:
         (["energies", "--family", "u2", "--D", "6", "--kappa", "1e200"],
          "epsilon = (hbar*kappa)^2/(2M)", "kappa=1e+200"),
         (["energies", "--family", "u2", "--D", "6", "--beta-kappa", "1e-320"],
-         "cut-off of the Bessel K_1 sum", "beta*kappa too small"),
+         "Bessel K_2 sum overflows", "beta*kappa too small"),
+        (["energies", "--family", "u2", "--D", "6", "--beta-kappa", "1e-308"],
+         "Bessel K_2 sum overflows", "beta*kappa too small"),
         (["scaling", "--quantity", "slope", "--family", "u2", "--N", "2:20", "--beta-kappa", "1e300"],
          "(beta*kappa)^(3/2) of the u2 slope", "beta*kappa=1e+300"),
         (["scaling", "--quantity", "slope", "--family", "u2", "--N", "2:20", "--beta-kappa", "1e-200"],
@@ -272,6 +274,27 @@ class TestScalingCommand:
 
     def test_bad_range(self, capsys):
         assert main(["scaling", "--quantity", "fermion", "--N", "ten"]) == 2
+        expected = "error: cannot parse --N range 'ten'; expected start:stop[:step]\n"
+        assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize("n_range", ["2:1000000000000000000000000000000", "1:10000000000000000000:1"])
+    def test_range_longer_than_maxsize_is_invalid_input(self, n_range, capsys):
+        # past sys.maxsize values range() has no length, so list() refuses it before allocating
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["scaling", "--quantity", "energy", "--family", "u2", "--N", n_range])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --N range {n_range!r} holds too many values to list\n"
+
+    def test_range_that_memory_cannot_hold_is_invalid_input(self, monkeypatch):
+        def refuse_ranges(values):
+            if isinstance(values, range):
+                raise MemoryError
+            return [*values]
+
+        monkeypatch.setattr(cli, "list", refuse_ranges, raising=False)
+        with pytest.raises(cli.DomainError, match=r"--N range '2:20' holds too many values"):
+            cli._parse_n_range("2:20")
 
     def test_descending_range_includes_its_stop(self, capsys):
         assert main(["scaling", "--quantity", "fermion", "--N", "12:1:-1"]) == 0
@@ -412,6 +435,34 @@ class TestPropagateCommand:
         code = main(["propagate", "--family", "u0", "--D", "6", "--n-points", "1024", "--dt", dt])
         assert code == 2
         assert "error: dt must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--family", "u2", "--D", "30", "--n-points", "1024", "--dt", "1e-30"],
+         "(n_steps = fit_window/dt = 7.5507e+25 at dt=1e-30, record_every=1)"),
+        (["--family", "u0", "--D", "6", "--dt", "1e-300"], "fit_window/dt = 5e+297 at dt=1e-300"),
+        (["--family", "u0", "--D", "6", "--n-points", "1024", "--n-steps", "1" + "0" * 30],
+         f"(n_steps={10**30}, record_every=1)"),
+        (["--family", "u0", "--D", "6", "--n-points", "1024", "--config", {"n_steps": 10**30}],
+         f"(n_steps={10**30}, record_every=1)"),
+        (["--family", "u0", "--D", "6", "--n-points", "1" + "0" * 30],
+         f"n_points={10**30} nodes do not fit in memory"),
+        (["--family", "u0", "--D", "6", "--n-points", "1024", "--dt", "5e-324"],
+         "n_steps = fit_window/dt overflows at dt=4.94066e-324"),
+    ])
+    def test_run_too_large_to_hold_is_invalid_input(self, argv, named, tmp_path, capsys):
+        # numpy refuses these counts before it allocates anything: past its largest index
+        if isinstance(argv[-1], dict):
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps(argv[-1]))
+            argv = [*argv[:-1], str(config)]
+        out = tmp_path / "run.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["propagate", *argv, "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err, err
+        assert not out.exists() and not (tmp_path / "run.config.json").exists()
 
     def test_window_fallback_is_reported(self, tmp_path, capsys):
         out = tmp_path / "run.csv"

@@ -665,6 +665,48 @@ class TestPropagation:
         with pytest.raises(DomainError, match="dt must be positive and finite"):
             propagate_free(state, RadialGrid.for_state(state, 1024), dt=dt)
 
+    @pytest.mark.parametrize("dt, n_steps, named", [
+        (1e-30, None, "(n_steps = fit_window/dt = 7.5507e+25 at dt=1e-30, record_every=1)"),
+        (None, 10**30, f"(n_steps={10**30}, record_every=1)"),
+    ])
+    def test_record_too_large_to_hold_names_its_count(self, dt, n_steps, named, params):
+        # numpy refuses the record past its largest index, before it allocates anything
+        state = make_state(U2, 30, params)
+        with pytest.raises(DomainError, match=re.escape(
+                f"the record of 1 + n_steps/record_every samples does not fit in memory {named}")):
+            propagate_free(state, RadialGrid.for_state(state, 1024), dt, n_steps)
+
+    def test_record_that_memory_cannot_hold_names_its_count(self, params, monkeypatch):
+        empty = np.empty
+
+        def refuse_records(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and shape[0] == 3:
+                raise MemoryError
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refuse_records)
+        state = make_state(U0, 6, params)
+        with pytest.raises(DomainError, match=re.escape("(n_steps=16, record_every=4)")):
+            propagate_free(state, RadialGrid.for_state(state, 1024), n_steps=16, record_every=4)
+
+    def test_step_count_past_double_range_names_dt(self, params):
+        state = make_state(U0, 6, params)
+        with pytest.raises(DomainError,
+                           match=re.escape("n_steps = fit_window/dt overflows at dt=4.94066e-324")):
+            propagate_free(state, RadialGrid.for_state(state, 1024), dt=5e-324)
+
+    def test_nodes_too_many_to_hold_name_their_count(self, monkeypatch):
+        grid = RadialGrid(n_points=10**30, spacing=1e-30)
+        with pytest.raises(DomainError, match=re.escape(f"n_points={10**30} nodes do not fit in memory")):
+            grid.points()
+
+        def refuse(n):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "arange", refuse)
+        with pytest.raises(DomainError, match="n_points=1024 nodes do not fit in memory"):
+            RadialGrid(n_points=1024, spacing=0.01).points()
+
     def test_measured_slope_needs_samples(self, params):
         state = make_state(U0, 6, params)
         result = propagate_free(state, RadialGrid.for_state(state, 1024), n_steps=3)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,36 @@ class TestBesselK:
     def test_numpy_integer_order(self):
         assert bessel_k(np.int64(2), 2.0) == bessel_k(2, 2.0)
 
+    def test_small_argument_series(self):
+        # e^z K_0(z) = -ln(z/2) - gamma and e^z K_1(z) = 1/z, each to O(z ln z) relative
+        euler_gamma = 0.5772156649015329
+        for zeta in (1e-20, 1e-100, 1e-200):
+            k0 = math.exp(zeta) * bessel_k(0, zeta)
+            k1 = math.exp(zeta) * bessel_k(1, zeta)
+            assert k0 == pytest.approx(-math.log(zeta / 2.0) - euler_gamma, rel=1e-13, abs=0.0)
+            assert k1 == pytest.approx(1.0 / zeta, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: bessel_k(0, 5e-324),
+        lambda: bessel_k(1, 1e-320),
+        lambda: bessel_k_ratio(2e-154),
+    ], ids=["k0-5e-324", "k1-1e-320", "ratio-2e-154"])
+    def test_overflow_names_the_sum(self, call):
+        with pytest.raises(OverflowError, match=r"Bessel K_. sum overflows at argument"):
+            call()
+
+    def test_every_positive_argument_is_answered_or_named(self):
+        # from the smallest subnormal to the largest doubles, a finite value or the named error
+        for zeta in [5e-324, *np.geomspace(1e-320, 1.7e308, 126).tolist()]:
+            for call in (lambda: bessel_k(0, zeta), lambda: bessel_k(1, zeta),
+                         lambda: bessel_k(2, zeta), lambda: bessel_k_ratio(zeta)):
+                try:
+                    value = call()
+                except OverflowError as exc:
+                    assert re.match(r"the Bessel K_[012] sum overflows at argument", str(exc)), exc
+                else:
+                    assert math.isfinite(value), zeta
+
 
 class TestBesselKAgainstScipy:
     """scipy.special stays the external reference for the in-house trapezoid rule."""
@@ -171,6 +202,10 @@ class TestBesselKRatio:
         # K_n increases with the order at fixed argument
         for zeta in (0.5, 1.0, 2.0, 5.0, 10.0):
             assert bessel_k_ratio(zeta) > 1.0
+
+    def test_limit_at_largest_arguments(self):
+        # 2x overflows at x = 1e308; the sum never forms it
+        assert bessel_k_ratio(1e308) == 1.0
 
     def test_no_underflow_at_huge_argument(self):
         # naive K_2/K_1 underflows to 0/0 near zeta ~ 750
